@@ -1,9 +1,34 @@
 """Exact linear algebra kernels.
 
-Prime-field matrices are numpy int64 arrays with entries in [0, p);
-elimination stays exact because p is word-sized, so every intermediate
-product fits comfortably below 2^63.  Rational matrices use Fractions
-and plain Python loops; they only appear on small inputs.
+Prime-field elimination has one routine, `echelon_mod_p`, and rank,
+reduced row echelon form, kernel and solve are thin wrappers over it.
+It is blocked elimination with delayed modular reduction in the manner
+of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 2008).  The reduced
+pivot rows E found so far are kept only on the columns that are not yet
+pivots (on the pivot columns they are the identity).  The matrix is
+read in panels of PANEL_ROWS rows, and for each panel B
+
+1. one matrix product reduces the panel by E (B -= B[:, pivots] @ E),
+   followed by one reduction mod p;
+2. a short loop echelonizes what is left of the panel, one step per
+   panel row, so the number of Python-level steps does not grow with
+   the number of columns;
+3. a second product clears the new pivot columns from E, and those
+   columns leave the stored part of E.
+
+Once every column is a pivot, the remaining rows are not read.
+
+The arithmetic runs in float64, on BLAS, whenever a dot product of n
+residues cannot leave the range where float64 holds integers exactly:
+
+    n * (p - 1)^2 + p < 2^53,   n = min(rows, cols),
+
+which for p = 31991 holds for n up to about 8.8 million.  Above that
+bound the same code runs on numpy object arrays of Python ints, so it is
+exact for every prime that `PrimeField` accepts.  The characteristic
+polynomial makes the same choice with n the matrix size.  Rational
+matrices use Fractions and plain Python loops; they only appear on small
+inputs.
 
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence,
 which divides by 1..n and therefore needs p > n.  That matches its one
@@ -18,91 +43,121 @@ from typing import Sequence
 
 import numpy as np
 
+# Rows per panel: enough for the products to run at BLAS speed, few
+# enough that the per-row loop inside a panel stays cheap.
+PANEL_ROWS = 64
+
+
+def _exact_dtype(n: int, p: int):
+    """float64 when sums of n products of residues are exact, else object."""
+    return np.float64 if n * (p - 1) ** 2 + p < 2**53 else object
+
+
+def echelon_mod_p(matrix, p: int):
+    """(pivots, free, reduced): the reduced row echelon form over F_p, packed.
+
+    pivots lists the pivot columns in the order they were found and free
+    the other columns, ascending.  Row i of `reduced` is the RREF row
+    with its leading 1 in column pivots[i], restricted to the free
+    columns: in the pivot columns that row is 1 at pivots[i] and 0
+    elsewhere.  The input is read one panel at a time and never modified
+    or copied whole.
+    """
+    a = np.asarray(matrix)
+    rows, cols = a.shape
+    dtype = _exact_dtype(min(rows, cols), p)
+    pivots: "list[int]" = []
+    free = np.arange(cols)
+    reduced = np.zeros((0, cols), dtype=dtype)
+    for start in range(0, rows, PANEL_ROWS):
+        if not free.size:
+            break
+        panel = (a[start : start + PANEL_ROWS] % p).astype(dtype)
+        block = panel[:, free]
+        if pivots:
+            block -= panel[:, pivots] @ reduced
+            block %= p
+        found = _echelonize_panel(block, p)
+        if not found:
+            continue
+        new_rows = block[[i for i, _ in found]] % p
+        new_cols = [j for _, j in found]
+        reduced -= reduced[:, new_cols] @ new_rows
+        reduced %= p
+        keep = np.ones(free.size, dtype=bool)
+        keep[new_cols] = False
+        pivots.extend(free[new_cols].tolist())
+        free = free[keep]
+        reduced = np.vstack([reduced, new_rows])[:, keep]
+    return pivots, free, reduced.astype(np.int64)
+
+
+def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
+    """Echelonize a panel in place; returns its (row, pivot column) pairs.
+
+    Each pivot row is scaled to a leading 1 and its column is cleared
+    from every other panel row, so the pivot rows come out reduced
+    against each other.  Only a row about to be used and the pivot
+    column are reduced mod p on the way; every other entry drops by at
+    most (p - 1)^2 per pivot, which the caller's dtype bound allows, and
+    the caller reduces the pivot rows it keeps.
+    """
+    found = []
+    for i in range(len(block)):
+        row = block[i]
+        row %= p
+        (nonzero,) = row.nonzero()
+        if not nonzero.size:
+            continue
+        j = int(nonzero[0])
+        row *= pow(int(row[j]), -1, p)
+        row %= p
+        factors = block[:, j] % p
+        factors[i] = 0
+        (hit,) = factors.nonzero()
+        if hit.size:
+            block[hit, j:] -= factors[hit, None] * row[j:]
+        found.append((i, j))
+    return found
+
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over F_p by forward elimination; does not modify the input."""
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = a[rank] * inv % p
-        column = a[rank + 1 :, col]
-        nz = np.nonzero(column)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - np.outer(column[nz], a[rank])) % p
-        rank += 1
-    return rank
+    """Rank over F_p; does not modify the input."""
+    return len(echelon_mod_p(matrix, p)[0])
 
 
 def rref_mod_p(matrix: np.ndarray, p: int):
     """(reduced row echelon form, pivot column list) over F_p."""
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = a[rank] * inv % p
-        column = a[:, col].copy()
-        column[rank] = 0
-        nz = np.nonzero(column)[0]
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(column[nz], a[rank])) % p
-        pivots.append(col)
-        rank += 1
-    return a, pivots
+    pivots, free, reduced = echelon_mod_p(matrix, p)
+    order = np.argsort(pivots, kind="stable")
+    rank = len(pivots)
+    a = np.zeros(np.shape(matrix), dtype=np.int64)
+    a[:rank, free] = reduced[order]
+    a[np.arange(rank), np.asarray(pivots, dtype=np.int64)[order]] = 1
+    return a, sorted(pivots)
 
 
 def kernel_mod_p(matrix: np.ndarray, p: int) -> "list[list[int]]":
     """A basis of the right kernel over F_p, one vector per free column."""
-    a, pivots = rref_mod_p(matrix, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-int(a[r, fc])) % p
-        basis.append(v)
-    return basis
+    pivots, free, reduced = echelon_mod_p(matrix, p)
+    basis = np.zeros((free.size, free.size + len(pivots)), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-reduced.T) % p
+    return basis.tolist()
 
 
 def solve_mod_p(matrix: np.ndarray, rhs: np.ndarray, p: int) -> "list[int] | None":
     """One solution of A x = b over F_p, or None when inconsistent."""
-    a = np.array(matrix, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64) % p
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    r, pivots = rref_mod_p(aug, p)
+    a = np.asarray(matrix)
     cols = a.shape[1]
+    aug = np.hstack([a, np.asarray(rhs).reshape(-1, 1)])
+    pivots, free, reduced = echelon_mod_p(aug, p)
     if cols in pivots:
         return None
+    # the right-hand side is the last free column
     x = [0] * cols
-    for row, pc in enumerate(pivots):
-        x[pc] = int(r[row, cols])
+    for pc, value in zip(pivots, reduced[:, -1].tolist()):
+        x[pc] = value
     return x
 
 
@@ -111,16 +166,18 @@ def char_poly_mod_p(matrix: np.ndarray, p: int) -> "list[int]":
 
     Faddeev-LeVerrier; requires p > n.
     """
-    a = np.array(matrix, dtype=np.int64) % p
+    a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
     if p <= n:
         raise ValueError("characteristic polynomial recurrence needs p > n")
+    dtype = _exact_dtype(n, p)
+    a = (a % p).astype(dtype)
     coeffs = [1]
-    m = np.zeros((n, n), dtype=np.int64)
+    m = np.zeros((n, n), dtype=dtype)
     c = 1
-    identity = np.eye(n, dtype=np.int64)
+    identity = np.eye(n, dtype=dtype)
     for k in range(1, n + 1):
         m = (a @ ((m + c * identity) % p)) % p
         c = (-int(np.trace(m)) * pow(k, -1, p)) % p

@@ -37,7 +37,7 @@ the groebner module.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -46,42 +46,60 @@ from .linalg import rank_mod_p, rank_rational
 from .polynomials import Polynomial, monomials_up_to_degree
 
 
-def _certified_dimension_at(generators, nvars: int, m: int, M: int, field) -> int:
+def _macaulay_matrix(generators, nvars: int, M: int, field) -> np.ndarray:
+    """Rows x^a * g_i of degree <= M over the monomials of degree <= M.
+
+    Columns run by ascending degree, so for every m the monomials of
+    degree > m are the trailing columns.  Prime-field entries are int64, rational ones
+    Fractions in an object array.
+    """
     columns = monomials_up_to_degree(nvars, M)
     col_index = {mono: i for i, mono in enumerate(columns)}
-    high = [i for i, mono in enumerate(columns) if sum(mono) > m]
-    n_low = len(columns) - len(high)
-    rows = []
+    row_of, col_of, values = [], [], []
+    nrows = 0
     for g in generators:
         room = M - g.degree()
         if room < 0:
             continue
+        terms = list(g.terms.items())
         for mult in monomials_up_to_degree(nvars, room):
-            row = [0] * len(columns)
-            for mono, c in g.terms.items():
-                shifted = tuple(x + y for x, y in zip(mono, mult))
-                row[col_index[shifted]] = c
-            rows.append(row)
-    if not rows:
-        return n_low
+            for mono, c in terms:
+                col_of.append(col_index[tuple(x + y for x, y in zip(mono, mult))])
+                values.append(c)
+            row_of.extend([nrows] * len(terms))
+            nrows += 1
+    dtype = np.int64 if isinstance(field, PrimeField) else object
+    a = np.zeros((nrows, len(columns)), dtype=dtype)
+    a[row_of, col_of] = values
+    return a
+
+
+def _rank(a: np.ndarray, field) -> int:
+    if not a.size:
+        return 0
     if isinstance(field, PrimeField):
-        a = np.array(rows, dtype=np.int64)
-        rank_full = rank_mod_p(a, field.p)
-        rank_high = rank_mod_p(a[:, high], field.p) if high else 0
-    else:
-        rank_full = rank_rational([[Fraction(v) for v in row] for row in rows])
-        rank_high = (
-            rank_rational([[Fraction(row[i]) for i in high] for row in rows])
-            if high
-            else 0
-        )
+        return rank_mod_p(a, field.p)
+    return rank_rational(a)
+
+
+def _certified_dimension_at(generators, nvars: int, m: int, M: int, field, built) -> int:
+    """dim(m, M); `built` maps M to (A_M, rank A_M) for reuse within one call."""
+    if M not in built:
+        a = _macaulay_matrix(generators, nvars, M, field)
+        built[M] = (a, _rank(a, field))
+    a, rank_full = built[M]
+    n_low = comb(nvars + m, m)
+    rank_high = _rank(a[:, n_low:], field)
     return n_low - (rank_full - rank_high)
 
 
-def _settled_dimension(generators, nvars: int, m: int, escalations: int, field):
+def _settled_dimension(generators, nvars: int, m: int, escalations: int, field, built):
+    # certificate degrees below m are never asked for again
+    for M in [M for M in built if M < m]:
+        del built[M]
     previous = None
     for slack in range(escalations + 1):
-        current = _certified_dimension_at(generators, nvars, m, m + slack, field)
+        current = _certified_dimension_at(generators, nvars, m, m + slack, field, built)
         if current == previous:
             return current
         previous = current
@@ -113,12 +131,15 @@ def macaulay_colength(
     if degree_cap is None:
         degree_cap = 3 * max(g.degree() for g in gens)
     degree_cap = max(degree_cap, 2)
+    built: dict = {}
     previous = _settled_dimension(
-        gens, ring.nvars, degree_cap - 1, escalations, ring.field
+        gens, ring.nvars, degree_cap - 1, escalations, ring.field, built
     )
     for step in range(escalations + 1):
         cap = degree_cap + step
-        current = _settled_dimension(gens, ring.nvars, cap, escalations, ring.field)
+        current = _settled_dimension(
+            gens, ring.nvars, cap, escalations, ring.field, built
+        )
         if current is not None and current == previous:
             return current
         previous = current

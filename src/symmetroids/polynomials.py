@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .fields import Coeff, Field, FieldError, RationalField
+from .linalg import det_over_field
 
 Monomial = "tuple[int, ...]"
 
@@ -375,7 +376,7 @@ class Polynomial:
         rows = [[field.normalize(v) for v in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("substitution matrix has wrong shape")
-        if not _is_invertible(rows, field):
+        if not det_over_field(rows, field):
             raise ValueError("substitution matrix is singular")
         images = [
             Polynomial.from_terms(
@@ -468,26 +469,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {format_polynomial(self)}>"
-
-
-def _is_invertible(rows, field) -> bool:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return False
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = field.mul(m[r][col], inv)
-                m[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(m[r], m[col])]
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra mod p and over the rationals."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symmetroids.linalg import (
+    PANEL_ROWS,
     char_poly_mod_p,
     det_over_field,
     kernel_mod_p,
@@ -132,3 +134,134 @@ def test_rank_bounds_and_kernel_dimension(rows):
     assert 0 <= r <= min(len(rows), 4)
     kernel = kernel_mod_p(rows, p)
     assert len(kernel) == 4 - r
+
+
+# -- the echelon kernel against pure-Python references ---------------------
+
+# Dot products of n residues stay exact in float64 while
+# n * (p - 1)^2 + p < 2^53.  For n = 72 these two primes sit on either
+# side of that bound, so the same shapes run once in float64 with sums
+# just under 2^53 and once on Python ints.
+BOUND_N = 72
+PRIME_BELOW_BOUND = 11184799
+PRIME_ABOVE_BOUND = 11184829
+
+
+def rref_reference(rows, p):
+    """(nonzero RREF rows, pivot columns) by textbook Gauss-Jordan on ints."""
+    m = [[v % p for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def char_poly_reference(rows, p):
+    """Faddeev-LeVerrier on Python ints."""
+    n = len(rows)
+    m = [[0] * n for _ in range(n)]
+    c = 1
+    coeffs = [1]
+    for k in range(1, n + 1):
+        shifted = [[(m[i][j] + (c if i == j else 0)) % p for j in range(n)] for i in range(n)]
+        m = [
+            [sum(rows[i][l] * shifted[l][j] for l in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+        c = (-sum(m[i][i] for i in range(n)) * pow(k, -1, p)) % p
+        coeffs.append(c)
+    return coeffs
+
+
+def random_matrix(seed, rows, cols, rank, p, density=1.0):
+    """rows x cols over F_p of rank <= `rank`, then with entries zeroed at random."""
+    rng = random.Random(seed)
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    out = []
+    for i in range(rows):
+        row = [sum(left[i][k] * right[k][j] for k in range(rank)) % p for j in range(cols)]
+        out.append([v if rng.random() < density else 0 for v in row])
+    return out
+
+
+def check_against_reference(rows, p):
+    a, pivots = rref_mod_p(np.array(rows, dtype=np.int64), p)
+    want, want_pivots = rref_reference(rows, p)
+    assert pivots == want_pivots
+    assert a.tolist() == want + [[0] * len(rows[0])] * (len(rows) - len(want))
+    assert rank_mod_p(rows, p) == len(want_pivots)
+    cols = len(rows[0])
+    kernel = kernel_mod_p(rows, p)
+    assert len(kernel) == cols - len(want_pivots)
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+    # a right-hand side in the column span is solvable, and the solution checks
+    target = [sum(row[j] for j in range(0, cols, 2)) % p for row in rows]
+    x = solve_mod_p(rows, target, p)
+    assert x is not None
+    assert [sum(a * b for a, b in zip(row, x)) % p for row in rows] == target
+
+
+shape_cases = st.tuples(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=1, max_value=90),
+    st.integers(min_value=0, max_value=90),
+    st.sampled_from([1.0, 0.3, 0.04]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape_cases, st.sampled_from([5, 31991, 2**61 - 1]))
+def test_echelon_matches_reference(case, p):
+    seed, rows, cols, rank, density = case
+    matrix = random_matrix(seed, rows, cols, min(rank, rows, cols), p, density)
+    check_against_reference(matrix, p)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([(72, 72), (130, 72), (72, 100)]),
+    st.sampled_from([PRIME_BELOW_BOUND, PRIME_ABOVE_BOUND]),
+)
+def test_echelon_on_both_sides_of_float_bound(seed, shape, p):
+    PrimeField(p)
+    assert (BOUND_N * (p - 1) ** 2 + p < 2**53) == (p == PRIME_BELOW_BOUND)
+    rows, cols = shape
+    assert min(rows, cols) == BOUND_N and rows > PANEL_ROWS
+    rank = random.Random(seed).choice([BOUND_N, BOUND_N - 5])
+    check_against_reference(random_matrix(seed, rows, cols, rank, p), p)
+
+
+def test_rank_exact_for_primes_near_two_to_the_61():
+    # (p-1)^2 overflows int64; row 2 is 2 * row 1 mod p
+    p = 2**61 - 1
+    assert rank_mod_p([[3, p - 1], [6, p - 2]], p) == 1
+    assert rank_mod_p([[3, p - 1], [6, p - 3]], p) == 2
+
+
+def test_rank_exact_where_one_product_leaves_float64():
+    # (p-1)^2 = 1 mod p, but (p-1)^2 itself is about 2^62
+    p = 2**31 - 1
+    assert rank_mod_p([[1, p - 1], [p - 1, 1]], p) == 1
+
+
+def test_char_poly_exact_for_p_two_to_the_31_minus_one():
+    p = 2**31 - 1
+    rng = random.Random(8)
+    rows = [[rng.randrange(p) for _ in range(8)] for _ in range(8)]
+    assert char_poly_mod_p(rows, p) == char_poly_reference(rows, p)

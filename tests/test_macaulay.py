@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmetroids import macaulay
 from symmetroids.fields import QQ, PrimeField
 from symmetroids.groebner import Ideal, staircase_colength
 from symmetroids.macaulay import macaulay_colength
+from symmetroids.matrices import surface_from_matrix
+from symmetroids.nodes import affine_jacobian_ideal
 from symmetroids.polynomials import Polynomial, Ring, parse_polynomial
 from symmetroids.randomness import random_invertible_matrix
+from symmetroids.scenarios import type_matrix
 
 F = PrimeField(31991)
 R2 = Ring(2, F)
@@ -97,3 +101,23 @@ def test_bezout_for_shifted_powers(a, b, c):
     # (x0^a - c, x1^b - x0) is a complete intersection of colength a*b
     gens = polys(R2, f"x0^{a} - {c}", f"x1^{b} - x0")
     assert macaulay_colength(gens) == a * b
+
+
+def test_each_certificate_matrix_is_built_and_ranked_once(monkeypatch):
+    # quartic (2,2) symmetroid: degree-3 Jacobian generators, degree cap 9.
+    # The measurements (8, 8), (8, 9), (9, 9), (9, 10) need the full ranks
+    # of A_8, A_9, A_10 and the high-degree ranks of A_9 and A_10: five.
+    spec = surface_from_matrix(type_matrix(4, 0, (2, 2), F, 1))
+    chart = random_invertible_matrix(F, 4, 1, "chart-a")
+    generators = list(affine_jacobian_ideal(spec, chart).generators)
+    shapes = []
+    rank = macaulay.rank_mod_p
+
+    def counting_rank(a, p):
+        shapes.append(a.shape)
+        return rank(a, p)
+
+    monkeypatch.setattr(macaulay, "rank_mod_p", counting_rank)
+    assert macaulay_colength(generators) == 8
+    assert len(shapes) == 5
+    assert len(set(shapes)) == 5
