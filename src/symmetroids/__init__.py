@@ -40,7 +40,6 @@ from .groebner import (
     buchberger,
     normal_form,
     radical_membership,
-    saturate,
     squarefree_certificate,
     staircase_colength,
 )

@@ -14,11 +14,14 @@ Exit codes
     2  usage errors: bad flags, malformed input files, invalid types
     3  degenerate input (zero or non-reduced determinant)
     4  uncertified or not found (report not certified, chart mismatch,
-       search budget exhausted, optional scenario skipped)
+       certificate cannot run because p <= t, search budget exhausted,
+       optional scenario skipped)
     5  resource budget exhausted in the Groebner engine
 
 The environment variable SYMMETROIDS_PAIR_BUDGET overrides the default
-S-pair budget; the --pair-budget flag overrides both.
+S-pair budget; the --pair-budget flag overrides both.  A variable that
+does not hold an integer is a usage error (exit 2) for the commands that
+run the Groebner engine (nodes, verify-case, kummer-search).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .enumeration import (
     enumerate_degree_types,
 )
 from .fields import FieldError, PrimeField, QQ
-from .groebner import CertificateError, ResourceBudgetError
+from .groebner import CertificateError, PairBudgetError, ResourceBudgetError
 from .kummer import search_sixteen_nodes
 from .matrices import (
     DegenerateMatrixError,
@@ -207,7 +210,7 @@ def cmd_nodes(args) -> int:
             rank_drop_check(matrix, report, pair_budget=args.pair_budget)
     except DegenerateSurfaceError as exc:
         return _fail(EXIT_DEGENERATE, f"nodes: {exc}")
-    except ChartMismatchError as exc:
+    except (ChartMismatchError, CertificateError) as exc:
         return _fail(EXIT_UNCERTIFIED, f"nodes: {exc}")
     except ResourceBudgetError as exc:
         return _fail(EXIT_BUDGET, f"nodes: {exc}")
@@ -401,6 +404,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
+    except PairBudgetError as exc:
+        return _fail(EXIT_USAGE, f"{args.command}: {exc}")
     except ResourceBudgetError as exc:
         return _fail(EXIT_BUDGET, str(exc))
 

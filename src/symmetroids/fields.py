@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-Coeff = Union[int, Fraction]
+# PEP 604 unions, not typing.Union: typing caches Union[...] objects, and
+# that cache would keep every superseded copy of these classes alive
+# across a re-import of the package.
+Coeff = int | Fraction
 
 
 class FieldError(ValueError):
@@ -173,7 +175,7 @@ QQ = RationalField()
 #: enough that residue arithmetic stays in machine words.
 DEFAULT_PRIME = 31991
 
-Field = Union[RationalField, PrimeField]
+Field = RationalField | PrimeField
 
 
 def field_from_json(obj) -> Field:

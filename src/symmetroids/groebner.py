@@ -55,12 +55,21 @@ class CertificateError(ValueError):
     """The reducedness certificate cannot run on this input."""
 
 
+class PairBudgetError(ValueError):
+    """SYMMETROIDS_PAIR_BUDGET does not hold an integer."""
+
+
 def effective_pair_budget(pair_budget: "int | None") -> int:
     if pair_budget is not None:
         return pair_budget
     env = os.environ.get(PAIR_BUDGET_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise PairBudgetError(
+                f"{PAIR_BUDGET_ENV} must be an integer, got {env!r}"
+            ) from None
     return DEFAULT_PAIR_BUDGET
 
 
@@ -449,44 +458,11 @@ def staircase_colength(basis: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# Saturation and radical membership
+# Radical membership
 
 
 def _extend_ring(ring: Ring) -> Ring:
     return Ring(ring.nvars + 1, ring.field, ("t",) + ring.names)
-
-
-def saturate(
-    ideal: Ideal, f: Polynomial, pair_budget: "int | None" = None
-) -> Ideal:
-    """The saturation (I : f^infinity) via one auxiliary variable.
-
-    Adjoin t with t dominating every original variable (block order with
-    split 1), add t*f - 1, and intersect the basis with the t-free
-    subring.  The t-free elements of the reduced basis are a reduced
-    grevlex basis of the saturation.
-    """
-    if f.ring != ideal.ring:
-        raise ValueError("ring mismatch")
-    if not f:
-        raise ValueError("cannot saturate by zero")
-    ring = ideal.ring
-    ext = _extend_ring(ring)
-    order = block_order(1)
-    field = ring.field
-    gens = [
-        Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()})
-        for g in ideal.generators
-    ]
-    tf = {(1,) + m: c for m, c in f.terms.items()}
-    tf[(0,) * ext.nvars] = field.neg(field.one)
-    gens.append(Polynomial(ext, tf))
-    basis = Ideal(ext, gens).groebner_basis(order, pair_budget)
-    kept = []
-    for g in basis.elements:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}))
-    return Ideal(ring, kept)
 
 
 def radical_membership(

@@ -15,9 +15,18 @@ reduced; the squarefree certificate from the multiplication matrix of a
 random linear form supplies that proof.
 
 For a surface that comes from a symmetric matrix phi, the same chart is
-reused to compare the Jacobian scheme against the locus where phi drops
-rank below h-1: equal colengths plus two-sided radical membership of
-generators ties the node set to the rank-drop locus.
+reused to compare the Jacobian ideal J of det(phi) with the ideal M of
+(h-1)-minors of phi, whose zeros are the locus where phi drops to rank
+h-2.  J is always contained in M: Jacobi's formula writes each partial
+of det(phi) as tr(adj(phi) * d(phi)/dx_k), the entries of adj(phi) are
+signed (h-1)-minors, Laplace expansion puts det(phi) itself in M, and
+the chart change and dehomogenization are ring maps.  This is an
+identity over Z, so it holds in every characteristic.  Given J in M,
+"equal colength and equal radicals" holds exactly when M = J, which in
+turn holds exactly when M has the colength t of J: a zero-dimensional
+ideal strictly larger than J has a strictly smaller colength.  So one
+grevlex basis of M and its staircase count tie the node set to the
+rank-drop locus.
 """
 
 from __future__ import annotations
@@ -28,10 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PrimeField
-from .groebner import GroebnerBasis, Ideal, radical_membership, squarefree_certificate
+from .groebner import GroebnerBasis, Ideal, squarefree_certificate
+
+# Unused here; they stay bound in this module because the benchmark's
+# tracer wraps nodes.radical_membership and nodes.determinant by name.
+from .groebner import radical_membership  # noqa: F401
 from .linalg import rank_over_field
-from .matrices import AMBIENT_VARS, SurfaceSpec, SymmetricFormMatrix, determinant, minors_ideal_generators
-from .polynomials import Polynomial, Ring
+from .matrices import determinant  # noqa: F401
+from .matrices import AMBIENT_VARS, SurfaceSpec, SymmetricFormMatrix, minors_ideal_generators
+from .polynomials import Ring
 from .randomness import random_invertible_matrix
 
 
@@ -134,37 +148,32 @@ def rank_drop_check(
 ) -> bool:
     """Tie the Jacobian scheme of det(phi) to the rank <= h-2 locus of phi.
 
-    In the same chart the report used: (a) the ideal of (h-1)-minors has
-    the same colength as the Jacobian ideal, and (b) every generator of
-    each ideal lies in the radical of the other.  Both must hold; the
+    In the chart the report used, the ideal M of (h-1)-minors always
+    contains the Jacobian ideal J of det(phi) (Jacobi's formula and
+    Laplace expansion, see the module docstring).  Equal colength plus
+    each ideal's generators in the other's radical therefore holds
+    exactly when M = J, and for J in M that is exactly when M has
+    colength t, the chart-a colength of J.  So the check is one grevlex
+    basis of M and its staircase count; no basis of J is needed.  The
     verdict is stored on the report and returned.
     """
     field = matrix.field
     if not isinstance(field, PrimeField):
         raise UnsupportedFieldError("rank-drop checks run over a prime field")
-    spec = SurfaceSpec(determinant(matrix), matrix.degree_type.d)
     transform = random_invertible_matrix(field, AMBIENT_VARS, report.seed, "chart-a")
-    jac = affine_jacobian_ideal(spec, transform)
+    # Change coordinates once on the low-degree entries, not on each minor.
     h = matrix.h
-    minors = minors_ideal_generators(matrix, h - 1)
+    grid = [[None] * h for _ in range(h)]
+    for i in range(h):
+        for j in range(i, h):
+            e = matrix.entries[i][j]
+            grid[i][j] = grid[j][i] = e.linear_change(transform) if e else e
+    moved = SymmetricFormMatrix.from_rows(matrix.degree_type, matrix.ring, grid)
+    minors = minors_ideal_generators(moved, h - 1)
     ring3 = Ring(AMBIENT_VARS - 1, field)
-    minor_gens = [
-        m.linear_change(transform).dehomogenize(AMBIENT_VARS - 1) for m in minors
-    ]
-    minor_gens = [g for g in minor_gens if g]
-    minors_ideal = Ideal(ring3, minor_gens)
+    minors_ideal = Ideal(ring3, [m.dehomogenize(AMBIENT_VARS - 1) for m in minors])
     minors_basis = minors_ideal.groebner_basis(pair_budget=pair_budget)
     consistent = minors_basis.colength() == report.t
-    if consistent:
-        for g in jac.generators:
-            if not radical_membership(g, minors_ideal, pair_budget):
-                consistent = False
-                break
-    if consistent:
-        for m in minors_ideal.generators:
-            if not radical_membership(m, jac, pair_budget):
-                consistent = False
-                break
     report.rank_drop_consistent = consistent
     return consistent
 

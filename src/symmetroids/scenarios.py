@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 from .cohomology import (
@@ -201,6 +200,9 @@ def _fixture_seed_task(payload: tuple) -> "tuple[int, NodeReport]":
 
 def _sweep(task, payloads, workers: int) -> list:
     if workers > 1 and len(payloads) > 1:
+        # Imported here so that a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, payloads))
     return [task(p) for p in payloads]
@@ -442,6 +444,8 @@ def run_all(
         if sid not in SCENARIO_IDS:
             raise UnknownScenarioError(f"unknown scenario {sid!r}")
     if workers > 1 and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_scenario, ids))
+            return list(pool.map(partial(run_scenario, pair_budget=pair_budget), ids))
     return [run_scenario(sid, workers=workers, pair_budget=pair_budget) for sid in ids]

@@ -23,6 +23,7 @@ from symmetroids.matrices import (
     dump_json_bytes,
     matrix_to_json_dict,
 )
+from symmetroids import scenarios
 from symmetroids.fields import PrimeField
 
 
@@ -194,6 +195,47 @@ def test_nodes_budget_exhaustion(tmp_path, capsys):
         capsys, "nodes", str(matrix_file), "--pair-budget", "1"
     )
     assert code == EXIT_BUDGET
+
+
+def test_nodes_certificate_impossible_is_uncertified(tmp_path, capsys):
+    # over F_7 the quartic's 8 nodes leave no room for the certificate
+    out_file = tmp_path / "m7.json"
+    assert main([
+        "build", "--type", "(2,2)", "--d", "4", "--delta", "0",
+        "--field", "fp:7", "--out", str(out_file),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    code, out, err = run(capsys, "nodes", str(out_file))
+    assert code == EXIT_UNCERTIFIED
+    assert out == ""
+    assert err == "nodes: certificate needs p > colength (7 <= 8)\n"
+
+
+def test_malformed_pair_budget_env_is_usage(tmp_path, capsys, monkeypatch):
+    matrix_file = build_matrix_file(tmp_path, "(2,2)", 4, 0)
+    capsys.readouterr()
+    monkeypatch.setenv("SYMMETROIDS_PAIR_BUDGET", "abc")
+    code, out, err = run(capsys, "nodes", str(matrix_file))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "nodes: SYMMETROIDS_PAIR_BUDGET must be an integer, got 'abc'\n"
+    # a fresh process starts with no cached reports
+    monkeypatch.setattr(scenarios, "_REPORT_CACHE", {})
+    code, _, err = run(capsys, "verify-case", "cayley-cubic")
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    # the flag overrides the environment
+    code, _, _ = run(capsys, "nodes", str(matrix_file), "--pair-budget", "100000")
+    assert code == EXIT_OK
+    # commands that never run the Groebner engine do not read it
+    code, out, _ = run(capsys, "enumerate", "--d", "4", "--delta", "0")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["(2,2)", "(0,2,2)", "(0,0,2,2)"]
+    code, _, _ = run(
+        capsys, "build", "--type", "(2,2)", "--d", "4", "--delta", "0",
+        "--out", str(tmp_path / "again.json"),
+    )
+    assert code == EXIT_OK
 
 
 def test_nodes_missing_file(capsys):

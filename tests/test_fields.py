@@ -106,3 +106,23 @@ def test_rational_axioms(a, b):
     assert QQ.add(a, b) == a + b
     assert QQ.mul(a, b) == a * b
     assert QQ.sub(a, b) == a - b
+
+
+REIMPORT_SCRIPT = """
+import gc, importlib, sys, weakref
+import symmetroids
+from symmetroids import fields
+ref = weakref.ref(fields.PrimeField)
+del symmetroids, fields
+for name in [m for m in sys.modules if m == "symmetroids" or m.startswith("symmetroids.")]:
+    del sys.modules[name]
+importlib.import_module("symmetroids")
+gc.collect()
+print("dead" if ref() is None else "alive")
+"""
+
+
+def test_reimport_releases_old_classes(fresh_python):
+    # module-level typing.Union aliases used to pin every superseded copy
+    # of the field classes in typing's cache
+    assert fresh_python(REIMPORT_SCRIPT) == "dead"

@@ -1,4 +1,4 @@
-"""Buchberger engine: reduced bases, division, saturation, certificates.
+"""Buchberger engine: reduced bases, division, radical membership, certificates.
 
 Expected colengths for the complete intersections below are the Bezout
 products of the generator degrees, checked independently against the
@@ -22,7 +22,6 @@ from symmetroids.groebner import (
     normal_form,
     radical_membership,
     s_polynomial,
-    saturate,
     squarefree_certificate,
     staircase_colength,
 )
@@ -174,31 +173,7 @@ def test_quotient_monomials_structure():
 
 
 # ---------------------------------------------------------------------------
-# Saturation and radical membership
-
-
-def test_saturation_strips_embedded_component():
-    # (x0^2, x0*x1) = (x0) cap (x0^2, x1); saturating by x1 removes the
-    # embedded point at the origin and leaves the x1-axis component (x0)
-    i1 = ideal("x0^2", "x0*x1", ring=R2)
-    sat = saturate(i1, poly("x1", ring=R2))
-    assert sat.same_ideal(ideal("x0", ring=R2))
-    # saturating by x0 instead empties the variety: x0^2 * 1 lies in I
-    assert saturate(i1, poly("x0", ring=R2)).groebner_basis().is_unit_ideal()
-
-
-def test_saturation_by_unit_is_identity():
-    i1 = ideal("x0^2 - x1", "x1^2 - x2")
-    sat = saturate(i1, poly("1"))
-    assert sat.same_ideal(i1)
-
-
-def test_saturation_rejects_zero_and_mismatch():
-    i1 = ideal("x0", ring=R2)
-    with pytest.raises(ValueError):
-        saturate(i1, Polynomial(R2, {}))
-    with pytest.raises(ValueError):
-        saturate(i1, poly("x0", ring=R3))
+# Radical membership
 
 
 def test_radical_membership_detects_nilpotents():

@@ -18,8 +18,10 @@ from symmetroids.matrices import (
     DegreeType,
     SurfaceSpec,
     SymmetricFormMatrix,
+    minors_ideal_generators,
     surface_from_matrix,
 )
+from symmetroids.groebner import Ideal
 from symmetroids.nodes import (
     ChartMismatchError,
     DegenerateSurfaceError,
@@ -180,6 +182,49 @@ def test_rank_drop_rejects_foreign_matrix():
     m13 = SymmetricFormMatrix.random(DegreeType(4, 1, (1, 3)), F, seed=1)
     report = count_nodes(surface_from_matrix(m22), seed=1)
     assert not rank_drop_check(m13, report)
+
+
+# ---------------------------------------------------------------------------
+# Rank-drop check by the colength of the minors ideal
+
+RANK_DROP_TYPES = [
+    (DegreeType(4, 0, (2, 2)), 8),
+    (DegreeType(4, 1, (1, 3)), 6),
+    (DegreeType(4, 1, (1, 1, 1, 1)), 10),
+    (DegreeType(5, 0, (1, 1, 3)), 16),
+]
+
+
+def chart_a_minors_basis(matrix, seed):
+    """The chart-a (h-1)-minors basis, moving each minor (not the matrix)."""
+    transform = random_invertible_matrix(F, 4, seed, "chart-a")
+    gens = [
+        m.linear_change(transform).dehomogenize(3)
+        for m in minors_ideal_generators(matrix, matrix.h - 1)
+    ]
+    return Ideal(Ring(3, F), gens).groebner_basis()
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+@pytest.mark.parametrize("dtype,t", RANK_DROP_TYPES, ids=lambda v: str(v))
+def test_jacobian_ideal_lies_in_minors_ideal(dtype, t, seed):
+    # Jacobi's formula and Laplace expansion put J inside M, which is
+    # what turns the rank-drop check into a colength comparison
+    matrix = SymmetricFormMatrix.random(dtype, F, seed=seed)
+    minors_basis = chart_a_minors_basis(matrix, seed)
+    transform = random_invertible_matrix(F, 4, seed, "chart-a")
+    jac = affine_jacobian_ideal(surface_from_matrix(matrix), transform)
+    assert all(minors_basis.contains(g) for g in jac.generators)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("dtype,t", RANK_DROP_TYPES, ids=lambda v: str(v))
+def test_rank_drop_verdicts_pinned(dtype, t, seed):
+    matrix = SymmetricFormMatrix.random(dtype, F, seed=seed)
+    report = count_nodes(surface_from_matrix(matrix), seed=seed)
+    assert report.t == t
+    assert rank_drop_check(matrix, report) is True
+    assert report.rank_drop_consistent is True
 
 
 # ---------------------------------------------------------------------------

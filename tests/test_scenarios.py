@@ -86,3 +86,26 @@ def test_run_all_subset():
 def test_wall_time_recorded():
     result = run_scenario("enumeration-all")
     assert result.wall_time >= 0
+
+
+def test_run_all_workers_keep_pair_budget():
+    # a budget of one S-pair stops both pipelines; worker processes must
+    # see the same budget as the serial run
+    ids = ["d4-delta0-type22", "cayley-cubic"]
+    serial = run_all(ids, workers=1, pair_budget=1)
+    pooled = run_all(ids, workers=2, pair_budget=1)
+
+    def strip(results):
+        return [{k: v for k, v in r.to_json_dict().items() if k != "wall_time"} for r in results]
+
+    assert strip(pooled) == strip(serial)
+    assert not any(r.passed for r in pooled)
+
+
+def test_import_leaves_process_pools_unloaded(fresh_python):
+    # a serial run must not pay for loading the process-pool machinery
+    code = (
+        "import sys, symmetroids; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    assert fresh_python(code) == "[]"
