@@ -13,7 +13,9 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from symmetroids.fields import PrimeField
+from symmetroids.groebner import CertificateError, ResourceBudgetError
 from symmetroids.matrices import (
+    DegenerateMatrixError,
     DegreeType,
     SymmetricFormMatrix,
     surface_from_matrix,
@@ -33,7 +35,13 @@ def run_seed(payload):
     try:
         report = count_nodes(surface_from_matrix(matrix), seed=seed)
         rank_drop_check(matrix, report)
-    except (DegenerateSurfaceError, ChartMismatchError) as exc:
+    except (
+        DegenerateMatrixError,
+        DegenerateSurfaceError,
+        ChartMismatchError,
+        CertificateError,
+        ResourceBudgetError,
+    ) as exc:
         return seed, f"{type(exc).__name__}"
     return seed, (report.t, report.reduced_certified, report.rank_drop_consistent)
 

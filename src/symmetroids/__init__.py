@@ -27,7 +27,6 @@ from .polynomials import (
     PolyParseError,
     Ring,
     TermOrder,
-    block_order,
     compare_monomials,
     format_polynomial,
     parse_polynomial,

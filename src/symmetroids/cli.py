@@ -11,7 +11,8 @@ Subcommands
 Exit codes
     0  success / scenario passed
     1  verification failed (scenario sub-check or requested identity)
-    2  usage errors: bad flags, malformed input files, invalid types
+    2  usage errors: bad flags, malformed input files, invalid types,
+       a rational input to nodes (node counting runs over a prime field)
     3  degenerate input (zero or non-reduced determinant)
     4  uncertified or not found (report not certified, chart mismatch,
        certificate cannot run because p <= t, search budget exhausted,
@@ -61,6 +62,7 @@ from .nodes import (
     ChartMismatchError,
     DegenerateSurfaceError,
     NodeReport,
+    UnsupportedFieldError,
     count_nodes,
     rank_drop_check,
 )
@@ -208,6 +210,8 @@ def cmd_nodes(args) -> int:
         )
         if matrix is not None:
             rank_drop_check(matrix, report, pair_budget=args.pair_budget)
+    except UnsupportedFieldError as exc:
+        return _fail(EXIT_USAGE, f"nodes: {exc}")
     except DegenerateSurfaceError as exc:
         return _fail(EXIT_DEGENERATE, f"nodes: {exc}")
     except (ChartMismatchError, CertificateError) as exc:

@@ -36,8 +36,8 @@ from .polynomials import (
     Polynomial,
     Ring,
     TermOrder,
-    block_order,
     mono_div,
+    mono_divides,
     mono_lcm,
     mono_mul,
 )
@@ -75,23 +75,7 @@ def effective_pair_budget(pair_budget: "int | None") -> int:
 
 def _heap_key(order: TermOrder, mono):
     """A key whose min-heap order equals descending term order."""
-    if order.kind == "grevlex":
-        return (-sum(mono), tuple(reversed(mono)))
-    if order.kind == "lex":
-        return tuple(-e for e in mono)
-    s = order.split
-    head, tail = mono[:s], mono[s:]
-    return (
-        (-sum(head), tuple(reversed(head))),
-        (-sum(tail), tuple(reversed(tail))),
-    )
-
-
-def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return tuple([-k for k in order.key(mono)])
 
 
 def _coprime(a, b) -> bool:
@@ -226,15 +210,15 @@ def _buchberger_raw(inputs: "list[dict]", ring: Ring, order: TermOrder, budget: 
             if _coprime(h_lm, store[g][0]):
                 kept.append((g, l))
                 continue
-            dominated = any(_divides(l2, l) for _, l2 in candidates) or any(
-                _divides(l2, l) for _, l2 in kept
+            dominated = any(mono_divides(l2, l) for _, l2 in candidates) or any(
+                mono_divides(l2, l) for _, l2 in kept
             )
             if not dominated:
                 kept.append((g, l))
         for (i, j) in list(pending):
             _, l = pending[(i, j)]
             if (
-                _divides(h_lm, l)
+                mono_divides(h_lm, l)
                 and mono_lcm(store[i][0], h_lm) != l
                 and mono_lcm(store[j][0], h_lm) != l
             ):
@@ -243,7 +227,7 @@ def _buchberger_raw(inputs: "list[dict]", ring: Ring, order: TermOrder, budget: 
             if not _coprime(h_lm, store[g][0]):
                 a, b = (g, h_idx) if g < h_idx else (h_idx, g)
                 pending[(a, b)] = (sum(l), l)
-        alive[:] = [g for g in alive if not _divides(h_lm, store[g][0])]
+        alive[:] = [g for g in alive if not mono_divides(h_lm, store[g][0])]
         alive.append(h_idx)
 
     for terms in inputs:
@@ -288,7 +272,7 @@ def _reduce_basis_raw(elements, order: TermOrder, field, key_cache):
     elements = sorted(elements, key=lambda e: key(e[0]))
     minimal = []
     for lm, tail in elements:
-        if not any(_divides(other[0], lm) for other in minimal):
+        if not any(mono_divides(other[0], lm) for other in minimal):
             minimal.append((lm, tail))
     reduced = []
     for idx, (lm, tail) in enumerate(minimal):
@@ -371,7 +355,7 @@ class GroebnerBasis:
             i, prefix = stack.pop()
             if i == n:
                 mono = prefix
-                if not any(_divides(lm, mono) for lm in lms):
+                if not any(mono_divides(lm, mono) for lm in lms):
                     out.append(mono)
                 continue
             for e in range(caps[i]):
@@ -461,25 +445,21 @@ def staircase_colength(basis: GroebnerBasis):
 # Radical membership
 
 
-def _extend_ring(ring: Ring) -> Ring:
-    return Ring(ring.nvars + 1, ring.field, ("t",) + ring.names)
-
-
 def radical_membership(
     f: Polynomial, ideal: Ideal, pair_budget: "int | None" = None
 ) -> bool:
     """f in rad(I), decided by 1 in I + (t*f - 1).
 
     The Buchberger loop short-circuits the moment a nonzero constant
-    appears, so positive answers return quickly.
+    appears, so positive answers return quickly.  Whether 1 lies in the
+    ideal does not depend on the term order, so the basis is grevlex.
     """
     if f.ring != ideal.ring:
         raise ValueError("ring mismatch")
     if not f:
         return True
     ring = ideal.ring
-    ext = _extend_ring(ring)
-    order = block_order(1)
+    ext = Ring(ring.nvars + 1, ring.field, ("t",) + ring.names)
     field = ring.field
     gens = [
         Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()})
@@ -489,7 +469,7 @@ def radical_membership(
     const = (0,) * ext.nvars
     tf[const] = field.neg(field.one)
     gens.append(Polynomial(ext, tf))
-    basis = Ideal(ext, gens).groebner_basis(order, pair_budget)
+    basis = Ideal(ext, gens).groebner_basis(GREVLEX, pair_budget)
     return basis.is_unit_ideal()
 
 

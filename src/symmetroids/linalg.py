@@ -1,12 +1,18 @@
 """Exact linear algebra kernels.
 
-Prime-field elimination has one routine, `echelon_mod_p`, and rank,
-reduced row echelon form, kernel and solve are thin wrappers over it.
-It is blocked elimination with delayed modular reduction in the manner
-of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 2008).  The reduced
-pivot rows E found so far are kept only on the columns that are not yet
-pivots (on the pivot columns they are the identity).  The matrix is
-read in panels of PANEL_ROWS rows, and for each panel B
+There are two eliminations.  `echelon_mod_p` is the numpy kernel for
+prime-field matrices of any size: rank, reduced row echelon form, kernel
+and solve are thin wrappers over it.  `rank_det_over_field` is plain
+Python Gaussian elimination over either field, returning rank and
+determinant: `rank_rational` and `det_over_field` wrap it.  It serves
+rational matrices and the tiny prime-field matrices (4x4 coordinate
+changes) whose arithmetic costs less than numpy's fixed per-call set-up.
+
+`echelon_mod_p` is blocked elimination with delayed modular reduction
+in the manner of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 2008).
+The reduced pivot rows E found so far are kept only on the columns that
+are not yet pivots (on the pivot columns they are the identity).  The
+matrix is read in panels of PANEL_ROWS rows, and for each panel B
 
 1. one matrix product reduces the panel by E (B -= B[:, pivots] @ E),
    followed by one reduction mod p;
@@ -26,9 +32,7 @@ residues cannot leave the range where float64 holds integers exactly:
 which for p = 31991 holds for n up to about 8.8 million.  Above that
 bound the same code runs on numpy object arrays of Python ints, so it is
 exact for every prime that `PrimeField` accepts.  The characteristic
-polynomial makes the same choice with n the matrix size.  Rational
-matrices use Fractions and plain Python loops; they only appear on small
-inputs.
+polynomial makes the same choice with n the matrix size.
 
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence,
 which divides by 1..n and therefore needs p > n.  That matches its one
@@ -42,6 +46,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+from .fields import QQ, Coeff, Field, PrimeField
 
 # Rows per panel: enough for the products to run at BLAS speed, few
 # enough that the per-row loop inside a panel stays cheap.
@@ -239,62 +245,53 @@ def squarefree_univariate_mod_p(coeffs: Sequence[int], p: int) -> bool:
     return len(poly_gcd_mod_p(f, df, p)) == 1
 
 
-def rank_rational(rows: "list[list[Fraction]]") -> int:
-    """Rank over Q by fraction-exact Gaussian elimination (small inputs)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def rank_det_over_field(rows, field: Field) -> "tuple[int, Coeff]":
+    """(rank, determinant) of a small matrix of raw field values.
+
+    Gaussian elimination to row echelon form in plain Python.  The
+    determinant is the field's zero unless the matrix is square and
+    invertible; the 0x0 matrix has determinant one.
+    """
+    m = [[field.normalize(v) for v in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    sub, mul = field.sub, field.mul
     rank = 0
+    det = field.one
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = field.neg(det)
+        top = m[rank]
+        det = mul(det, top[col])
+        inv = field.inv(top[col])
+        for r in range(rank + 1, nrows):
+            if m[r][col]:
+                factor = mul(m[r][col], inv)
+                m[r] = [sub(a, mul(factor, b)) for a, b in zip(m[r], top)]
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, det if rank == nrows == ncols else field.zero
 
 
-def rank_over_field(rows, field) -> int:
+def rank_rational(rows: "list[list[Fraction]]") -> int:
+    """Rank over Q (small inputs)."""
+    return rank_det_over_field(rows, QQ)[0]
+
+
+def det_over_field(rows, field: Field) -> Coeff:
+    """Determinant of a small square matrix of raw field values."""
+    return rank_det_over_field(rows, field)[1]
+
+
+def rank_over_field(rows, field: Field) -> int:
     """Rank of a small matrix of raw field values (either field)."""
     if not rows or not rows[0]:
         return 0
-    if hasattr(field, "p"):
+    if isinstance(field, PrimeField):
         return rank_mod_p(np.array(rows, dtype=np.int64), field.p)
     return rank_rational(rows)
-
-
-def det_over_field(rows, field):
-    """Determinant of a small square matrix of raw field values."""
-    n = len(rows)
-    m = [[field.normalize(v) for v in row] for row in rows]
-    det = field.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = field.mul(m[r][col], inv)
-                m[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(m[r], m[col])]
-    return det

@@ -5,14 +5,17 @@ nonnegative ints, one slot per ring variable) to nonzero coefficients.
 Zero coefficients are dropped eagerly, so the zero polynomial is the
 empty mapping and equality is plain dict equality.
 
-Term orders are small value objects producing ascending sort keys:
+Term orders are small value objects whose ``key`` is the one definition
+of the order: a flat tuple of ints, compared lexicographically, that
+sorts monomials ascending.
 
 * ``grevlex`` (the default everywhere): higher total degree wins; ties
-  break by the *smallest* exponent on the *last* variable, i.e. the
-  reversed-negated exponent vector compared lexicographically.
-* ``lex`` with x0 > x1 > ... .
-* ``block(split)``: variables [0, split) dominate variables [split, n),
-  grevlex inside each block.  Used for eliminating auxiliary variables.
+  break by the *smallest* exponent on the *last* variable.  The key is
+  ``(deg, -e_{n-1}, ..., -e_0)``.
+* ``lex`` with x0 > x1 > ... .  The key is the exponent vector itself.
+
+Because the keys are flat, negating every slot gives a key for the
+descending order, which is what the Groebner engine's division heap uses.
 
 The text format is deliberately tiny.  Variables are ``x0 .. x{n-1}``,
 ``^`` marks exponents >= 2, ``*`` separates factors, coefficients are
@@ -65,7 +68,10 @@ def mono_mul(a, b):
 
 def mono_divides(a, b) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
 
 
 def mono_div(numerator, denominator):
@@ -77,48 +83,27 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a) -> int:
-    return sum(a)
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order given by an ascending sort key on exponent vectors."""
 
     kind: str
-    split: "int | None" = None
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "block"):
+        if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown term order kind {self.kind!r}")
-        if self.kind == "block":
-            if self.split is None or self.split < 1:
-                raise ValueError("block order needs a positive split index")
 
     def key(self, mono):
         if self.kind == "grevlex":
-            return (sum(mono), tuple(-e for e in reversed(mono)))
-        if self.kind == "lex":
-            return mono
-        s = self.split
-        head, tail = mono[:s], mono[s:]
-        return (
-            (sum(head), tuple(-e for e in reversed(head))),
-            (sum(tail), tuple(-e for e in reversed(tail))),
-        )
+            return (sum(mono), *[-e for e in reversed(mono)])
+        return mono
 
     def __str__(self) -> str:
-        if self.kind == "block":
-            return f"block({self.split})"
         return self.kind
 
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
-
-
-def block_order(split: int) -> TermOrder:
-    return TermOrder("block", split)
 
 
 def compare_monomials(order: TermOrder, a, b) -> int:

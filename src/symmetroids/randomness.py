@@ -49,13 +49,8 @@ def random_form(ring: Ring, degree: int, seed: int, *tags: str) -> Polynomial:
     if degree < 0:
         return Polynomial.zero(ring)
     stream = element_stream(ring.field, seed, *tags)
-    monomials = sorted(
-        monomials_of_degree(ring.nvars, degree),
-        key=lambda m: (sum(m), tuple(-e for e in reversed(m))),
-        reverse=True,
-    )
     terms = {}
-    for mono in monomials:
+    for mono in reversed(monomials_of_degree(ring.nvars, degree)):
         c = next(stream)
         if c:
             terms[mono] = c

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import symmetroids
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -26,3 +29,21 @@ def fresh_python():
         return done.stdout.strip()
 
     return run
+
+
+@pytest.fixture
+def repo_module():
+    """Import a Python file of the repository (a script, a bench module) by its path.
+
+    The path is relative to the repository root; each call loads a new
+    module object, which is not registered in sys.modules.
+    """
+
+    def load(relative_path: str):
+        path = REPO_ROOT / relative_path
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -21,7 +21,10 @@ from symmetroids.matrices import (
     DegreeType,
     SymmetricFormMatrix,
     dump_json_bytes,
+    matrix_from_json_dict,
     matrix_to_json_dict,
+    surface_from_matrix,
+    surface_to_json_dict,
 )
 from symmetroids import scenarios
 from symmetroids.fields import PrimeField
@@ -209,6 +212,27 @@ def test_nodes_certificate_impossible_is_uncertified(tmp_path, capsys):
     assert code == EXIT_UNCERTIFIED
     assert out == ""
     assert err == "nodes: certificate needs p > colength (7 <= 8)\n"
+
+
+@pytest.mark.parametrize("as_surface", [False, True], ids=["matrix", "surface"])
+def test_nodes_over_q_is_usage(tmp_path, capsys, as_surface):
+    matrix_file = tmp_path / "mq.json"
+    assert main([
+        "build", "--type", "(2,2)", "--d", "4", "--delta", "0",
+        "--field", "q", "--out", str(matrix_file),
+    ]) == EXIT_OK
+    target = matrix_file
+    if as_surface:
+        matrix = matrix_from_json_dict(json.loads(matrix_file.read_text()))
+        target = tmp_path / "sq.json"
+        target.write_bytes(
+            dump_json_bytes(surface_to_json_dict(surface_from_matrix(matrix)))
+        )
+    capsys.readouterr()
+    code, out, err = run(capsys, "nodes", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "nodes: node counting runs over a prime field\n"
 
 
 def test_malformed_pair_budget_env_is_usage(tmp_path, capsys, monkeypatch):

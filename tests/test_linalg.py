@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from symmetroids.linalg import (
     kernel_mod_p,
     poly_gcd_mod_p,
     rank_mod_p,
+    rank_det_over_field,
     rank_over_field,
     rank_rational,
     rref_mod_p,
@@ -265,3 +267,89 @@ def test_char_poly_exact_for_p_two_to_the_31_minus_one():
     rng = random.Random(8)
     rows = [[rng.randrange(p) for _ in range(8)] for _ in range(8)]
     assert char_poly_mod_p(rows, p) == char_poly_reference(rows, p)
+
+
+# -- the small-matrix elimination against its definitions -----------------
+
+F7 = PrimeField(7)
+F31991 = PrimeField(31991)
+
+
+def leibniz_det(rows, field):
+    """The determinant as the signed sum over permutations."""
+    total = field.zero
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = field.neg(field.one) if inversions % 2 else field.one
+        for i, j in enumerate(perm):
+            term = field.mul(term, field.normalize(rows[i][j]))
+        total = field.add(total, term)
+    return total
+
+
+def minor_rank(rows):
+    """Rank over Q as the size of the largest nonzero minor."""
+    nrows, ncols = len(rows), len(rows[0])
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                if leibniz_det([[rows[r][c] for c in cs] for r in rs], QQ):
+                    return k
+    return 0
+
+
+def entries(field):
+    if field is QQ:
+        return st.builds(
+            Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+        )
+    # small values make singular matrices common; large ones cover the field
+    return st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=field.p - 1)
+
+
+@st.composite
+def square_cases(draw):
+    field = draw(st.sampled_from([F7, F31991, QQ]))
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(
+        st.lists(st.lists(entries(field), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    return field, rows
+
+
+@st.composite
+def rational_cases(draw):
+    """Up to 4x5 over Q; about half are products through a narrower middle."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = entries(QQ)
+    if draw(st.booleans()):
+        return draw(
+            st.lists(
+                st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+            )
+        )
+    k = draw(st.integers(min_value=1, max_value=3))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    return [
+        [sum(left[i][l] * right[l][j] for l in range(k)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_cases())
+def test_det_over_field_matches_leibniz(case):
+    field, rows = case
+    want = leibniz_det(rows, field)
+    assert det_over_field(rows, field) == want
+    rank, det = rank_det_over_field(rows, field)
+    assert det == want
+    assert (rank == len(rows)) == bool(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_cases())
+def test_rank_rational_matches_largest_nonzero_minor(rows):
+    assert rank_rational(rows) == minor_rank(rows)

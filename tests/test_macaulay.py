@@ -5,6 +5,9 @@ orders, no division), so agreement between the two is a genuine
 consistency check rather than a tautology.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,3 +124,34 @@ def test_each_certificate_matrix_is_built_and_ranked_once(monkeypatch):
     assert macaulay_colength(generators) == 8
     assert len(shapes) == 5
     assert len(set(shapes)) == 5
+
+
+def _package_imports(module: str) -> "set[str]":
+    """Names of the package modules that one module's source imports."""
+    source = (Path(macaulay.__file__).parent / f"{module}.py").read_text()
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("symmetroids.")]
+            out.update(name.split(".")[1] for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1:
+                out.update(a.name for a in node.names)
+            elif node.module and node.module.startswith("symmetroids."):
+                out.add(node.module.split(".")[1])
+    return out
+
+
+def test_oracle_imports_nothing_from_groebner():
+    # the oracle is an independent check only while no import path,
+    # direct or through another module, leads to the Buchberger engine
+    reached, todo = set(), ["macaulay"]
+    while todo:
+        module = todo.pop()
+        for name in _package_imports(module) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert "linalg" in reached
+    assert "groebner" not in reached

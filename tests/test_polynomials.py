@@ -14,7 +14,6 @@ from symmetroids.polynomials import (
     Polynomial,
     PolyParseError,
     Ring,
-    block_order,
     compare_monomials,
     format_polynomial,
     mono_div,
@@ -75,13 +74,6 @@ def test_grevlex_classic_ordering_facts():
     degree2 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     ordered = sorted(degree2, key=GREVLEX.key, reverse=True)
     assert ordered == degree2
-
-
-def test_block_order_eliminates_leading_block():
-    order = block_order(1)
-    # any monomial containing the first variable beats any without it
-    assert compare_monomials(order, (1, 0, 0), (0, 5, 5)) > 0
-    assert compare_monomials(order, (0, 1, 0), (0, 0, 2)) < 0
 
 
 def test_monomials_of_degree_counts():
