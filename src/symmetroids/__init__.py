@@ -69,6 +69,7 @@ from .cohomology import (
     hilbert_function_coker,
     plane_section_presentation,
     surface_presentation,
+    table_duality_symmetry,
 )
 from .kummer import search_sixteen_nodes
 from .scenarios import SCENARIO_IDS, ScenarioResult, run_all, run_scenario

@@ -35,9 +35,9 @@ import sys
 from .cohomology import (
     check_chi_node_formula,
     cohomology_table,
-    duality_symmetry_check,
     plane_section_presentation,
     surface_presentation,
+    table_duality_symmetry,
     RangeTooSmallError,
 )
 from .enumeration import (
@@ -257,7 +257,7 @@ def cmd_cohomology(args) -> int:
     status = EXIT_OK
     if args.mode == "section":
         try:
-            symmetric = duality_symmetry_check(pres, range(lo, hi + 1))
+            symmetric = table_duality_symmetry(table)
             if args.format != "json":
                 print(f"duality symmetry: {'ok' if symmetric else 'FAILED'}")
             if not symmetric:

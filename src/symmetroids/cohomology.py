@@ -17,12 +17,19 @@ exact on global sections in every twist.  Two exact quantities follow:
   integer (this is the sheaf Euler characteristic, negative twists
   included).
 
+The block matrix is assembled with numpy.  The monomial bases of the
+graded pieces are the memoized arrays of `polynomials.monomial_array`,
+and each nonzero block (i, j) takes one `shift_positions` lookup
+(integer grevlex codes and one searchsorted) and one scatter of the
+entry's coefficients, instead of a Python loop over columns and terms.
+
 For a plane-section presentation the support is a curve, cohomology
 vanishes above degree 1, and h1(m) = h0(m) - chi(m) is an honest
 nonnegative number.  Serre duality on a plane curve of degree d with a
 self-dual-up-to-delta cokernel pairs the twists m and d - 3 + delta - m;
 `duality_symmetry_check` verifies h1(m) = h0(d - 3 + delta - m) across
-a symmetric range.  For quartic surfaces chi(coker) relates linearly to
+a symmetric range (`table_duality_symmetry` decides it on a table that
+is already built).  For quartic surfaces chi(coker) relates linearly to
 the node count: chi = (8 - t)/4 in the even (delta = 0) case, which
 `check_chi_node_formula` tests exactly.
 """
@@ -38,7 +45,7 @@ from .fields import PrimeField
 from .linalg import rank_mod_p, rank_rational
 from .matrices import DegreeType, SymmetricFormMatrix
 from .nodes import NodeReport
-from .polynomials import Polynomial, Ring, monomials_of_degree
+from .polynomials import Polynomial, Ring, monomial_array, shift_positions
 from .randomness import element_stream
 
 
@@ -140,49 +147,50 @@ def hilbert_polynomial_value(n: int, a: int) -> int:
 
 def hilbert_function_coker(pres: GradedPresentation, m: int) -> int:
     """dim of the degree-m piece of coker(phi): target dims minus rank."""
-    dt = pres.degree_type
-    n = pres.n
-    r = dt.target_twists
-    l = dt.source_twists
-    row_monos = [monomials_of_degree(n, m - ri) for ri in r]
-    col_monos = [monomials_of_degree(n, m - lj) for lj in l]
-    total_rows = sum(len(b) for b in row_monos)
-    total_cols = sum(len(b) for b in col_monos)
+    matrix = _degree_piece_matrix(pres, m)
+    total_rows, total_cols = matrix.shape
     if total_rows == 0:
         return 0
     if total_cols == 0:
         return total_rows
-    row_offset = []
-    acc = 0
-    row_index = []
-    for block in row_monos:
-        row_offset.append(acc)
-        row_index.append({mono: k for k, mono in enumerate(block)})
-        acc += len(block)
     field = pres.ring.field
-    prime = isinstance(field, PrimeField)
-    if prime:
-        matrix = np.zeros((total_rows, total_cols), dtype=np.int64)
-    else:
-        matrix = [[Fraction(0)] * total_cols for _ in range(total_rows)]
-    col = 0
-    for j, block in enumerate(col_monos):
-        for mono in block:
-            for i in range(dt.h):
-                entry = pres.entries[i][j]
-                if not entry:
-                    continue
-                index = row_index[i]
-                base = row_offset[i]
-                for em, ec in entry.terms.items():
-                    target = tuple(x + y for x, y in zip(em, mono))
-                    matrix[base + index[target]][col] = ec
-            col += 1
-    if prime:
+    if isinstance(field, PrimeField):
         rank = rank_mod_p(matrix, field.p)
     else:
         rank = rank_rational(matrix)
     return total_rows - rank
+
+
+def _degree_piece_matrix(pres: GradedPresentation, m: int) -> np.ndarray:
+    """phi in degree m, as a block matrix over the graded monomial bases.
+
+    Row block i holds the degree m - r_i monomials and column block j
+    the degree m - l_j ones, each ascending grevlex; block (i, j)
+    multiplies by entry (i, j).  Each block is one `shift_positions`
+    lookup and one scatter.  Prime-field entries are int64, rational
+    ones Fractions in an object array (zeros are the int 0).
+    """
+    dt = pres.degree_type
+    n = pres.n
+    row_degrees = [m - ri for ri in dt.target_twists]
+    col_blocks = [monomial_array(n, m - lj) for lj in dt.source_twists]
+    row_offsets = [0]
+    for degree in row_degrees:
+        row_offsets.append(row_offsets[-1] + graded_piece_dimension(n, degree))
+    dtype = np.int64 if isinstance(pres.ring.field, PrimeField) else object
+    matrix = np.zeros((row_offsets[-1], sum(len(b) for b in col_blocks)), dtype=dtype)
+    col = 0
+    for j, shifts in enumerate(col_blocks):
+        cols = np.arange(col, col + len(shifts))
+        col += len(shifts)
+        if not len(shifts):
+            continue
+        for i, degree in enumerate(row_degrees):
+            entry = pres.entries[i][j]
+            if entry:
+                positions, coefficients = shift_positions(entry, shifts, degree)
+                matrix[row_offsets[i] + positions, cols] = coefficients[:, None]
+    return matrix
 
 
 def chi_from_resolution(pres: GradedPresentation, m: int) -> int:
@@ -263,24 +271,37 @@ def cohomology_table(pres: GradedPresentation, m_range) -> CohomologyTable:
 def duality_symmetry_check(pres: GradedPresentation, m_range) -> bool:
     """Serre-duality symmetry h1(m) == h0(d - 3 + delta - m) on a curve.
 
-    Only twist pairs with both ends inside the range are testable;
-    raises RangeTooSmallError when there are none.
+    Computes the table over the range and decides with
+    `table_duality_symmetry`; the errors are raised before any h0 is
+    computed.
     """
-    if pres.n != 3:
-        raise ValueError("duality symmetry is a curve-level check")
-    dt = pres.degree_type
-    pivot = dt.d - 3 + dt.delta
     ms = sorted(set(m_range))
-    pairs = [(m, pivot - m) for m in ms if pivot - m in set(ms)]
+    _dual_pairs(pres.degree_type, pres.n, ms)
+    return table_duality_symmetry(cohomology_table(pres, ms))
+
+
+def table_duality_symmetry(table: CohomologyTable) -> bool:
+    """The duality decision of `duality_symmetry_check` on a built table.
+
+    Only twist pairs with both ends among the table's rows are testable;
+    raises ValueError off a curve and RangeTooSmallError when there are
+    no pairs.
+    """
+    pairs = _dual_pairs(table.degree_type, table.n, [r.m for r in table.rows])
+    return all(table.row(m).h1 == table.row(partner).h0 for m, partner in pairs)
+
+
+def _dual_pairs(dt: DegreeType, n: int, ms) -> "list[tuple[int, int]]":
+    if n != 3:
+        raise ValueError("duality symmetry is a curve-level check")
+    pivot = dt.d - 3 + dt.delta
+    twists = set(ms)
+    pairs = [(m, pivot - m) for m in sorted(twists) if pivot - m in twists]
     if not pairs:
         raise RangeTooSmallError(
             f"no twist pair (m, {pivot} - m) lies inside the range"
         )
-    table = cohomology_table(pres, ms)
-    for m, partner in pairs:
-        if table.row(m).h1 != table.row(partner).h0:
-            return False
-    return True
+    return pairs
 
 
 def check_chi_node_formula(pres: GradedPresentation, report: NodeReport) -> bool:

@@ -1,38 +1,47 @@
 """Exact linear algebra kernels.
 
-There are two eliminations.  `echelon_mod_p` is the numpy kernel for
-prime-field matrices of any size: rank, reduced row echelon form, kernel
-and solve are thin wrappers over it.  `rank_det_over_field` is plain
+There are two eliminations.  `_forward_chain` is the numpy kernel for
+prime-field matrices of any size: rank is a thin wrapper over it, and
+reduced row echelon form, kernel and solve wrap `echelon_mod_p`, which
+back-substitutes its result.  `rank_det_over_field` is plain
 Python Gaussian elimination over either field, returning rank and
 determinant: `rank_rational` and `det_over_field` wrap it.  It serves
 rational matrices and the tiny prime-field matrices (4x4 coordinate
 changes) whose arithmetic costs less than numpy's fixed per-call set-up.
 
-`echelon_mod_p` is blocked elimination with delayed modular reduction
-in the manner of Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 2008).
-The reduced pivot rows E found so far are kept only on the columns that
-are not yet pivots (on the pivot columns they are the identity).  The
-matrix is read in panels of PANEL_ROWS rows, and for each panel B
+The F_p elimination is blocked, forward-only elimination with delayed
+modular reduction in the manner of Dumas, Giorgi and Pernet
+(FFLAS-FFPACK, ACM TOMS 2008).  The matrix is read in panels of
+PANEL_ROWS rows.  Each panel that adds pivots leaves one step of a
+chain (positions, keep, E_k): its pivot columns, the mask of the
+columns that stay free, and its pivot rows on those columns.  A new
+panel B is reduced by the earlier steps in order,
 
-1. one matrix product reduces the panel by E (B -= B[:, pivots] @ E),
-   followed by one reduction mod p;
-2. a short loop echelonizes what is left of the panel, one step per
-   panel row, so the number of Python-level steps does not grow with
-   the number of columns;
-3. a second product clears the new pivot columns from E, and those
-   columns leave the stored part of E.
+    B = B[:, keep] - (B[:, positions] mod p) @ E_k,
 
-Once every column is a pivot, the remaining rows are not read.
+and then a short loop echelonizes what is left of it, one step per
+panel row, so the number of Python-level steps does not grow with the
+number of columns.  Stored rows are never reduced again and E is never
+re-stacked: `rank_mod_p` only counts pivots, and `echelon_mod_p` (for
+rref, kernel and solve) back-substitutes the chain once, last step
+first.  Once every column is a pivot, the remaining rows are not read.
 
 The arithmetic runs in float64, on BLAS, whenever a dot product of n
 residues cannot leave the range where float64 holds integers exactly:
 
-    n * (p - 1)^2 + p < 2^53,   n = min(rows, cols),
+    n * (p - 1)^2 + p < 2^53,   n = min(rows, cols).
 
-which for p = 31991 holds for n up to about 8.8 million.  Above that
-bound the same code runs on numpy object arrays of Python ints, so it is
-exact for every prime that `PrimeField` accepts.  The characteristic
-polynomial makes the same choice with n the matrix size.
+A panel entry is not reduced mod p between the chain steps and the
+in-panel loop; only the factors (the pivot columns) are.  Each step
+subtracts at most r_k (p - 1)^2 from it, where r_k is the number of
+pivots that step or in-panel pivot adds, and those numbers sum to at
+most the rank, which is at most n.  So every entry stays within
+n (p - 1)^2 + p of zero.  Back-substitution multiplies reduced rows
+through an inner dimension of at most the rank, too.  For p = 31991
+the bound holds for n up to about 8.8 million.  Above it the same code
+runs on numpy object arrays of Python ints, so it is exact for every
+prime that `PrimeField` accepts.  The characteristic polynomial makes
+the same choice with n the matrix size.
 
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence,
 which divides by 1..n and therefore needs p > n.  That matches its one
@@ -59,43 +68,65 @@ def _exact_dtype(n: int, p: int):
     return np.float64 if n * (p - 1) ** 2 + p < 2**53 else object
 
 
-def echelon_mod_p(matrix, p: int):
-    """(pivots, free, reduced): the reduced row echelon form over F_p, packed.
+def _forward_chain(matrix, p: int):
+    """(pivots, free, chain): forward elimination over F_p, one panel at a time.
 
     pivots lists the pivot columns in the order they were found and free
-    the other columns, ascending.  Row i of `reduced` is the RREF row
-    with its leading 1 in column pivots[i], restricted to the free
-    columns: in the pivot columns that row is 1 at pivots[i] and 0
-    elsewhere.  The input is read one panel at a time and never modified
-    or copied whole.
+    the other columns, ascending.  Panel k that adds pivots leaves one
+    chain step (positions, keep, rows): `positions` are its pivot
+    columns and `keep` the mask of the other ones, both within the
+    columns that were still free before it, and `rows` are its pivot
+    rows on the kept columns, reduced mod p (on `positions` they are
+    the identity).  The input is read one panel at a time and never
+    modified or copied whole.
     """
     a = np.asarray(matrix)
     rows, cols = a.shape
     dtype = _exact_dtype(min(rows, cols), p)
     pivots: "list[int]" = []
     free = np.arange(cols)
-    reduced = np.zeros((0, cols), dtype=dtype)
+    chain = []
     for start in range(0, rows, PANEL_ROWS):
         if not free.size:
             break
-        panel = (a[start : start + PANEL_ROWS] % p).astype(dtype)
-        block = panel[:, free]
-        if pivots:
-            block -= panel[:, pivots] @ reduced
-            block %= p
+        block = (a[start : start + PANEL_ROWS] % p).astype(dtype)
+        for positions, keep, reduced in chain:
+            block = block[:, keep] - (block[:, positions] % p) @ reduced
         found = _echelonize_panel(block, p)
         if not found:
             continue
-        new_rows = block[[i for i, _ in found]] % p
-        new_cols = [j for _, j in found]
-        reduced -= reduced[:, new_cols] @ new_rows
-        reduced %= p
+        positions = [j for _, j in found]
         keep = np.ones(free.size, dtype=bool)
-        keep[new_cols] = False
-        pivots.extend(free[new_cols].tolist())
+        keep[positions] = False
+        chain.append((positions, keep, block[[i for i, _ in found]][:, keep] % p))
+        pivots.extend(free[positions].tolist())
         free = free[keep]
-        reduced = np.vstack([reduced, new_rows])[:, keep]
-    return pivots, free, reduced.astype(np.int64)
+    return pivots, free, chain
+
+
+def echelon_mod_p(matrix, p: int):
+    """(pivots, free, reduced): the reduced row echelon form over F_p, packed.
+
+    pivots and free are as in the forward chain.  Row i of `reduced` is
+    the RREF row with its leading 1 in column pivots[i], restricted to
+    the free columns: in the pivot columns that row is 1 at pivots[i]
+    and 0 elsewhere.  The chain is back-substituted once, last step
+    first: each step's rows lose their entries in the later steps'
+    pivot columns through one product with the rows already reduced.
+    """
+    pivots, free, chain = _forward_chain(matrix, p)
+    done = np.zeros((0, free.size), dtype=np.int64)  # rows of the later steps
+    # positions, within the step's kept columns, of the later pivots (in
+    # the row order of `done`) and of the free columns
+    later = np.zeros(0, dtype=np.int64)
+    last = np.arange(free.size)
+    for positions, keep, rows in reversed(chain):
+        step = (rows[:, last] - rows[:, later] @ done) % p
+        done = np.vstack([step, done])
+        kept = np.flatnonzero(keep)
+        later = np.concatenate([positions, kept[later]])
+        last = kept[last]
+    return pivots, free, done.astype(np.int64)
 
 
 def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
@@ -129,7 +160,7 @@ def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     """Rank over F_p; does not modify the input."""
-    return len(echelon_mod_p(matrix, p)[0])
+    return len(_forward_chain(matrix, p)[0])
 
 
 def rref_mod_p(matrix: np.ndarray, p: int):

@@ -21,6 +21,11 @@ Hilbert function of the homogenized generators instead, which overshoots
 whenever the top-degree forms share a projective zero (try
 (x0^3 - 1, x1^2 - x0, x2 - x0*x1)).
 
+A_M is assembled with numpy: for each generator, one `shift_positions`
+lookup against the memoized monomials of degree <= M locates every
+term of every multiple x^a * g_i, and one scatter writes the
+coefficients.
+
 The oracle answers only from agreement windows: for each m it raises M
 until two consecutive values of dim(m, M) agree, and it returns the
 common value of two consecutive settled measurements dim*(m-1), dim*(m).
@@ -43,34 +48,30 @@ import numpy as np
 
 from .fields import PrimeField
 from .linalg import rank_mod_p, rank_rational
-from .polynomials import Polynomial, monomials_up_to_degree
+from .polynomials import Polynomial, monomial_array, shift_positions
 
 
 def _macaulay_matrix(generators, nvars: int, M: int, field) -> np.ndarray:
     """Rows x^a * g_i of degree <= M over the monomials of degree <= M.
 
     Columns run by ascending degree, so for every m the monomials of
-    degree > m are the trailing columns.  Prime-field entries are int64, rational ones
-    Fractions in an object array.
+    degree > m are the trailing columns.  The rows of g_i follow its
+    multipliers x^a in ascending grevlex; each g_i is one
+    `shift_positions` lookup and one scatter.  Prime-field entries are
+    int64, rational ones Fractions in an object array.
     """
-    columns = monomials_up_to_degree(nvars, M)
-    col_index = {mono: i for i, mono in enumerate(columns)}
-    row_of, col_of, values = [], [], []
-    nrows = 0
-    for g in generators:
-        room = M - g.degree()
-        if room < 0:
-            continue
-        terms = list(g.terms.items())
-        for mult in monomials_up_to_degree(nvars, room):
-            for mono, c in terms:
-                col_of.append(col_index[tuple(x + y for x, y in zip(mono, mult))])
-                values.append(c)
-            row_of.extend([nrows] * len(terms))
-            nrows += 1
+    blocks = [
+        (g, monomial_array(nvars, M - g.degree(), up_to=True))
+        for g in generators
+        if g.degree() <= M
+    ]
     dtype = np.int64 if isinstance(field, PrimeField) else object
-    a = np.zeros((nrows, len(columns)), dtype=dtype)
-    a[row_of, col_of] = values
+    a = np.zeros((sum(len(s) for _, s in blocks), comb(nvars + M, M)), dtype=dtype)
+    row = 0
+    for g, shifts in blocks:
+        positions, coefficients = shift_positions(g, shifts, M, up_to=True)
+        a[np.arange(row, row + len(shifts)), positions] = coefficients[:, None]
+        row += len(shifts)
     return a
 
 
@@ -83,20 +84,21 @@ def _rank(a: np.ndarray, field) -> int:
 
 
 def _certified_dimension_at(generators, nvars: int, m: int, M: int, field, built) -> int:
-    """dim(m, M); `built` maps M to (A_M, rank A_M) for reuse within one call."""
+    """dim(m, M); `built` maps M to (A_M, rank A_M) for reuse within one call.
+
+    Measurement degrees only grow, one at a time, so A_M serves no later
+    measurement once m reaches M: it leaves `built` then.
+    """
     if M not in built:
         a = _macaulay_matrix(generators, nvars, M, field)
         built[M] = (a, _rank(a, field))
-    a, rank_full = built[M]
+    a, rank_full = built.pop(M) if M == m else built[M]
     n_low = comb(nvars + m, m)
     rank_high = _rank(a[:, n_low:], field)
     return n_low - (rank_full - rank_high)
 
 
 def _settled_dimension(generators, nvars: int, m: int, escalations: int, field, built):
-    # certificate degrees below m are never asked for again
-    for M in [M for M in built if M < m]:
-        del built[M]
     previous = None
     for slack in range(escalations + 1):
         current = _certified_dimension_at(generators, nvars, m, m + slack, field, built)

@@ -27,7 +27,10 @@ parse(print(f)) == f exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .fields import Coeff, Field, FieldError, RationalField
 from .linalg import det_over_field
@@ -139,6 +142,57 @@ def monomials_up_to_degree(nvars: int, degree: int) -> "list[tuple[int, ...]]":
     for d in range(degree + 1):
         out.extend(monomials_of_degree(nvars, d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _monomial_table(nvars: int, degree: int, up_to: bool):
+    """(exponents, weights, codes) of monomials_of_degree or monomials_up_to_degree.
+
+    `exponents` is a read-only int64 array with one monomial per row.
+    Every exponent is below base = degree + 1, and on such vectors
+    e @ weights = deg(e) * base^n - sum_i e_i * base^i is injective and
+    ascending in grevlex: degree first, then descending in the number
+    whose base-`base` digits are e_{n-1}, ..., e_0.  `codes` is
+    exponents @ weights, so it is sorted.  The codes are int64 when
+    they fit, Python ints otherwise.
+    """
+    monos = (monomials_up_to_degree if up_to else monomials_of_degree)(nvars, degree)
+    exponents = np.array(monos, dtype=np.int64).reshape(-1, nvars)
+    base = degree + 1
+    dtype = np.int64 if base ** (nvars + 1) < 2**63 else object
+    weights = np.array([base**nvars - base**i for i in range(nvars)], dtype=dtype)
+    codes = exponents @ weights
+    for array in (exponents, weights, codes):
+        array.flags.writeable = False
+    return exponents, weights, codes
+
+
+def monomial_array(nvars: int, degree: int, up_to: bool = False) -> np.ndarray:
+    """monomials_of_degree (or monomials_up_to_degree) as a read-only int64 array.
+
+    Memoized per (nvars, degree, up_to): one row per monomial, in the
+    same order.
+    """
+    return _monomial_table(nvars, degree, up_to)[0]
+
+
+def shift_positions(poly: "Polynomial", shifts: np.ndarray, degree: int, up_to: bool = False):
+    """(positions, coefficients) of poly times each monomial in `shifts`.
+
+    Every product must lie in monomial_array(nvars, degree, up_to), the
+    target list.  positions[s, k] is the index in that list of term s of
+    poly times shifts[k]; coefficients[s] is the coefficient of term s,
+    int64 over a prime field and Fractions in an object array over Q.
+    The target list's code e @ weights is linear in e, so a product's
+    code is the sum of its factors' codes, and one searchsorted against
+    the sorted target codes finds every position.
+    """
+    _, weights, codes = _monomial_table(poly.ring.nvars, degree, up_to)
+    exponents = np.array(list(poly.terms), dtype=np.int64)
+    dtype = object if isinstance(poly.ring.field, RationalField) else np.int64
+    coefficients = np.array(list(poly.terms.values()), dtype=dtype)
+    products = (exponents @ weights)[:, None] + shifts @ weights
+    return np.searchsorted(codes, products), coefficients
 
 
 class Polynomial:

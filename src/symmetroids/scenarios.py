@@ -30,9 +30,9 @@ from .cohomology import (
     check_chi_node_formula,
     chi_from_resolution,
     cohomology_table,
-    duality_symmetry_check,
     plane_section_presentation,
     surface_presentation,
+    table_duality_symmetry,
 )
 from .enumeration import (
     ConstraintProfile,
@@ -262,7 +262,7 @@ def _run_degree_type(entry: dict, field: Field, workers: int, pair_budget) -> li
             passed = observed <= expected
             name = f"section_h0({spec['m']}) <= {expected}"
         elif name == "duality":
-            observed = duality_symmetry_check(section0, range(lo, hi + 1))
+            observed = table_duality_symmetry(table0)
             passed = observed is expected
             name = f"duality[{lo},{hi}]"
         else:

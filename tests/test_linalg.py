@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmetroids import linalg
 from symmetroids.linalg import (
     PANEL_ROWS,
     char_poly_mod_p,
@@ -247,6 +248,56 @@ def test_echelon_on_both_sides_of_float_bound(seed, shape, p):
     assert min(rows, cols) == BOUND_N and rows > PANEL_ROWS
     rank = random.Random(seed).choice([BOUND_N, BOUND_N - 5])
     check_against_reference(random_matrix(seed, rows, cols, rank, p), p)
+
+
+def multi_panel_matrix(seed, rows, cols, rank, p, zero_cols):
+    """A matrix over at least three panels whose second panel adds no pivot.
+
+    The second panel's rows are combinations of two rows of the first,
+    and `zero_cols` random columns are zero throughout.
+    """
+    m = random_matrix(seed, rows, cols, rank, p)
+    rng = random.Random(seed)
+    for i in range(PANEL_ROWS, 2 * PANEL_ROWS):
+        a, b = rng.sample(m[:PANEL_ROWS], 2)
+        s, t = rng.randrange(p), rng.randrange(p)
+        m[i] = [(s * x + t * y) % p for x, y in zip(a, b)]
+    for j in rng.sample(range(cols), zero_cols):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2 * PANEL_ROWS + 1, max_value=200),
+    st.integers(min_value=66, max_value=100),
+    st.integers(min_value=40, max_value=100),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([31991, 2**61 - 1]),
+)
+def test_forward_chain_over_several_panels(seed, rows, cols, rank, zero_cols, p):
+    matrix = multi_panel_matrix(seed, rows, cols, min(rank, cols), p, zero_cols)
+    _, _, chain = linalg._forward_chain(matrix, p)
+    if rank > PANEL_ROWS + zero_cols:
+        # the first panel has at most PANEL_ROWS pivots, so a later one adds more
+        assert len(chain) >= 2
+    check_against_reference(matrix, p)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([PRIME_BELOW_BOUND, PRIME_ABOVE_BOUND]),
+)
+def test_forward_chain_on_both_sides_of_float_bound(seed, p):
+    # min(rows, cols) = 72 sits on the bound; rank 72 needs pivots from
+    # the first and the third panel, so two chain steps reduce panel three
+    matrix = multi_panel_matrix(seed, 3 * PANEL_ROWS + 10, BOUND_N, BOUND_N, p, 0)
+    _, _, chain = linalg._forward_chain(matrix, p)
+    assert len(chain) == 2
+    check_against_reference(matrix, p)
 
 
 def test_rank_exact_for_primes_near_two_to_the_61():
