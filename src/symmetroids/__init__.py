@@ -27,20 +27,15 @@ from .polynomials import (
     PolyParseError,
     Ring,
     TermOrder,
-    compare_monomials,
     format_polynomial,
     parse_polynomial,
-    polynomial_ring,
 )
 from .groebner import (
     GroebnerBasis,
     Ideal,
     ResourceBudgetError,
-    buchberger,
-    normal_form,
     radical_membership,
     squarefree_certificate,
-    staircase_colength,
 )
 from .macaulay import macaulay_colength
 from .nodes import (

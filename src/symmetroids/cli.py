@@ -12,7 +12,8 @@ Exit codes
     0  success / scenario passed
     1  verification failed (scenario sub-check or requested identity)
     2  usage errors: bad flags, malformed input files, invalid types,
-       a rational input to nodes (node counting runs over a prime field)
+       a rational input to nodes (node counting runs over a prime field),
+       an output path that cannot be written
     3  degenerate input (zero or non-reduced determinant)
     4  uncertified or not found (report not certified, chart mismatch,
        certificate cannot run because p <= t, search budget exhausted,
@@ -128,6 +129,14 @@ def _load_json_file(path: str) -> dict:
         raise _UsageError(f"{path} is not valid JSON: {exc}")
 
 
+def _write_file(path: str, payload: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
+
+
 class _UsageError(Exception):
     pass
 
@@ -165,8 +174,7 @@ def cmd_build(args) -> int:
             "retry with a different --seed",
         )
     payload = dump_json_bytes(matrix_to_json_dict(matrix))
-    with open(args.out, "wb") as fh:
-        fh.write(payload)
+    _write_file(args.out, payload)
     digest = hashlib.sha256(payload).hexdigest()[:12]
     if args.format == "json":
         print(
@@ -220,8 +228,7 @@ def cmd_nodes(args) -> int:
         return _fail(EXIT_BUDGET, f"nodes: {exc}")
     payload = report.to_json_dict()
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(dump_json_bytes(payload))
+        _write_file(args.out, dump_json_bytes(payload))
     if args.format == "json" or args.out is None:
         print(json.dumps(payload, indent=2))
     else:
@@ -308,9 +315,7 @@ def cmd_kummer_search(args) -> int:
             f"kummer-search: no certified 16-node member found "
             f"within budget {args.budget}",
         )
-    payload = result.to_json_dict()
-    with open(args.out, "wb") as fh:
-        fh.write(dump_json_bytes(payload))
+    _write_file(args.out, dump_json_bytes(result.to_json_dict()))
     if args.format == "json":
         print(json.dumps({"out": args.out, "t": result.report.t,
                           "trial": result.trial}))

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import rank_mod_p, rank_rational
+from .linalg import rank_mod_p, rank_over_field
 from .matrices import DegreeType, SymmetricFormMatrix
 from .nodes import NodeReport
 from .polynomials import Polynomial, Ring, monomial_array, shift_positions
@@ -157,7 +157,7 @@ def hilbert_function_coker(pres: GradedPresentation, m: int) -> int:
     if isinstance(field, PrimeField):
         rank = rank_mod_p(matrix, field.p)
     else:
-        rank = rank_rational(matrix)
+        rank = rank_over_field(matrix, field)
     return total_rows - rank
 
 

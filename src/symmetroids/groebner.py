@@ -399,20 +399,6 @@ class Ideal:
         self._bases[order] = basis
         return basis
 
-    def same_ideal(self, other: "Ideal", order: TermOrder = GREVLEX) -> bool:
-        """Ideal equality through uniqueness of reduced bases."""
-        return self.groebner_basis(order) == other.groebner_basis(order)
-
-
-def buchberger(
-    ideal: Ideal, order: TermOrder = GREVLEX, pair_budget: "int | None" = None
-) -> GroebnerBasis:
-    return ideal.groebner_basis(order, pair_budget)
-
-
-def normal_form(poly: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    return basis.normal_form(poly)
-
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GREVLEX) -> Polynomial:
     """S(f, g) after making both inputs monic."""
@@ -435,10 +421,6 @@ def audit_s_polynomials(basis: GroebnerBasis) -> bool:
             if basis.normal_form(s):
                 return False
     return True
-
-
-def staircase_colength(basis: GroebnerBasis):
-    return basis.colength()
 
 
 # ---------------------------------------------------------------------------

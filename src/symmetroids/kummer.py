@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 from .fields import PrimeField
 from .groebner import CertificateError
-from .linalg import kernel_mod_p
+from .linalg import det_over_field
 from .matrices import AMBIENT_VARS, SurfaceSpec, surface_to_json_dict
 from .nodes import (
     ChartMismatchError,
     DegenerateSurfaceError,
     NodeReport,
+    canonical_point,
     count_nodes,
 )
 from .polynomials import Polynomial, Ring
@@ -92,14 +93,33 @@ def family_member(field: PrimeField, coefficients) -> SurfaceSpec:
     return SurfaceSpec(f, 4, "squared-coordinate family")
 
 
+def _kernel_vector(system, field: PrimeField) -> "tuple[int, ...] | None":
+    """The kernel vector of a 4x5 system, scaled to a last nonzero entry of 1.
+
+    None when the kernel has dimension above 1.  By Cramer's rule the
+    signed 4x4 minors (-1)^j det(A without column j) form a vector that
+    every row of A annihilates (it expands a 5x5 matrix with that row
+    repeated); they all vanish exactly when A has rank below 4.
+    """
+    minors = [
+        det_over_field([row[:j] + row[j + 1 :] for row in system], field)
+        for j in range(len(system) + 1)
+    ]
+    if not any(minors):
+        return None
+    return canonical_point(
+        field, [field.neg(m) if j % 2 else m for j, m in enumerate(minors)]
+    )
+
+
 def search_sixteen_nodes(
     field: PrimeField, seed: int, budget: int = 8
 ) -> "SearchResult | None":
     """Look for a certified 16-nodal member; None when the budget runs out.
 
     Each trial solves grad f(P) = 0 at a fresh seeded point P for the
-    coefficient vector.  Trials with a kernel of dimension other than 1
-    or with a degenerate or uncertified member are skipped.
+    coefficient vector.  Trials with a kernel of dimension above 1 or
+    with a degenerate or uncertified member are skipped.
     """
     p = field.p
     # certification multiplies on a 16-dimensional quotient, so its
@@ -117,14 +137,12 @@ def search_sixteen_nodes(
             [gradients[j][v].evaluate(point) for j in range(5)]
             for v in range(AMBIENT_VARS)
         ]
-        kernel = kernel_mod_p(system, p)
-        if len(kernel) != 1:
+        coeffs = _kernel_vector(system, field)
+        if coeffs is None:
             continue
-        coeffs = tuple(int(c) for c in kernel[0])
-        f = _member(ring, coeffs)
-        if not f:
-            continue
-        spec = SurfaceSpec(f, 4, "squared-coordinate family")
+        # the basis quartics share no monomial, so a nonzero vector
+        # gives a nonzero member
+        spec = family_member(field, coeffs)
         try:
             report = count_nodes(spec, seed=seed)
         except (DegenerateSurfaceError, ChartMismatchError):

@@ -1,13 +1,13 @@
 """Exact linear algebra kernels.
 
-There are two eliminations.  `_forward_chain` is the numpy kernel for
-prime-field matrices of any size: rank is a thin wrapper over it, and
-reduced row echelon form, kernel and solve wrap `echelon_mod_p`, which
-back-substitutes its result.  `rank_det_over_field` is plain
-Python Gaussian elimination over either field, returning rank and
-determinant: `rank_rational` and `det_over_field` wrap it.  It serves
-rational matrices and the tiny prime-field matrices (4x4 coordinate
-changes) whose arithmetic costs less than numpy's fixed per-call set-up.
+There are two eliminations, and the library asks both only for ranks
+and determinants.  `_forward_chain` is the numpy kernel for prime-field
+matrices of any size, and `rank_mod_p` counts its pivots.
+`rank_det_over_field` is plain Python Gaussian elimination over either
+field, returning rank and determinant: `rank_over_field` and
+`det_over_field` wrap it.  It serves rational matrices and the tiny
+prime-field matrices (4x4 coordinate changes, Hessians and minors)
+whose arithmetic costs less than numpy's fixed per-call set-up.
 
 The F_p elimination is blocked, forward-only elimination with delayed
 modular reduction in the manner of Dumas, Giorgi and Pernet
@@ -21,10 +21,10 @@ panel B is reduced by the earlier steps in order,
 
 and then a short loop echelonizes what is left of it, one step per
 panel row, so the number of Python-level steps does not grow with the
-number of columns.  Stored rows are never reduced again and E is never
-re-stacked: `rank_mod_p` only counts pivots, and `echelon_mod_p` (for
-rref, kernel and solve) back-substitutes the chain once, last step
-first.  Once every column is a pivot, the remaining rows are not read.
+number of columns.  Stored rows are never reduced again, E is never
+re-stacked and nothing is back-substituted, since the pivots are all a
+rank needs.  Once every column is a pivot, the remaining rows are not
+read.
 
 The arithmetic runs in float64, on BLAS, whenever a dot product of n
 residues cannot leave the range where float64 holds integers exactly:
@@ -36,11 +36,10 @@ in-panel loop; only the factors (the pivot columns) are.  Each step
 subtracts at most r_k (p - 1)^2 from it, where r_k is the number of
 pivots that step or in-panel pivot adds, and those numbers sum to at
 most the rank, which is at most n.  So every entry stays within
-n (p - 1)^2 + p of zero.  Back-substitution multiplies reduced rows
-through an inner dimension of at most the rank, too.  For p = 31991
-the bound holds for n up to about 8.8 million.  Above it the same code
-runs on numpy object arrays of Python ints, so it is exact for every
-prime that `PrimeField` accepts.  The characteristic polynomial makes
+n (p - 1)^2 + p of zero.  For p = 31991 the bound holds for n up to
+about 8.8 million.  Above it the same code runs on numpy object arrays
+of Python ints, so it is exact for every prime that `PrimeField`
+accepts.  The characteristic polynomial makes
 the same choice with n the matrix size.
 
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence,
@@ -51,12 +50,11 @@ reduced over a field with p > n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .fields import QQ, Coeff, Field, PrimeField
+from .fields import Coeff, Field
 
 # Rows per panel: enough for the products to run at BLAS speed, few
 # enough that the per-row loop inside a panel stays cheap.
@@ -69,15 +67,14 @@ def _exact_dtype(n: int, p: int):
 
 
 def _forward_chain(matrix, p: int):
-    """(pivots, free, chain): forward elimination over F_p, one panel at a time.
+    """(pivots, chain): forward elimination over F_p, one panel at a time.
 
-    pivots lists the pivot columns in the order they were found and free
-    the other columns, ascending.  Panel k that adds pivots leaves one
-    chain step (positions, keep, rows): `positions` are its pivot
-    columns and `keep` the mask of the other ones, both within the
-    columns that were still free before it, and `rows` are its pivot
-    rows on the kept columns, reduced mod p (on `positions` they are
-    the identity).  The input is read one panel at a time and never
+    pivots lists the pivot columns in the order they were found.  Panel
+    k that adds pivots leaves one chain step (positions, keep, rows):
+    `positions` are its pivot columns and `keep` the mask of the other
+    ones, both within the columns that were still free before it, and
+    `rows` are its pivot rows on the kept columns, reduced mod p (on
+    `positions` they are the identity).  The input is read one panel at a time and never
     modified or copied whole.
     """
     a = np.asarray(matrix)
@@ -101,32 +98,7 @@ def _forward_chain(matrix, p: int):
         chain.append((positions, keep, block[[i for i, _ in found]][:, keep] % p))
         pivots.extend(free[positions].tolist())
         free = free[keep]
-    return pivots, free, chain
-
-
-def echelon_mod_p(matrix, p: int):
-    """(pivots, free, reduced): the reduced row echelon form over F_p, packed.
-
-    pivots and free are as in the forward chain.  Row i of `reduced` is
-    the RREF row with its leading 1 in column pivots[i], restricted to
-    the free columns: in the pivot columns that row is 1 at pivots[i]
-    and 0 elsewhere.  The chain is back-substituted once, last step
-    first: each step's rows lose their entries in the later steps'
-    pivot columns through one product with the rows already reduced.
-    """
-    pivots, free, chain = _forward_chain(matrix, p)
-    done = np.zeros((0, free.size), dtype=np.int64)  # rows of the later steps
-    # positions, within the step's kept columns, of the later pivots (in
-    # the row order of `done`) and of the free columns
-    later = np.zeros(0, dtype=np.int64)
-    last = np.arange(free.size)
-    for positions, keep, rows in reversed(chain):
-        step = (rows[:, last] - rows[:, later] @ done) % p
-        done = np.vstack([step, done])
-        kept = np.flatnonzero(keep)
-        later = np.concatenate([positions, kept[later]])
-        last = kept[last]
-    return pivots, free, done.astype(np.int64)
+    return pivots, chain
 
 
 def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
@@ -161,41 +133,6 @@ def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     """Rank over F_p; does not modify the input."""
     return len(_forward_chain(matrix, p)[0])
-
-
-def rref_mod_p(matrix: np.ndarray, p: int):
-    """(reduced row echelon form, pivot column list) over F_p."""
-    pivots, free, reduced = echelon_mod_p(matrix, p)
-    order = np.argsort(pivots, kind="stable")
-    rank = len(pivots)
-    a = np.zeros(np.shape(matrix), dtype=np.int64)
-    a[:rank, free] = reduced[order]
-    a[np.arange(rank), np.asarray(pivots, dtype=np.int64)[order]] = 1
-    return a, sorted(pivots)
-
-
-def kernel_mod_p(matrix: np.ndarray, p: int) -> "list[list[int]]":
-    """A basis of the right kernel over F_p, one vector per free column."""
-    pivots, free, reduced = echelon_mod_p(matrix, p)
-    basis = np.zeros((free.size, free.size + len(pivots)), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-reduced.T) % p
-    return basis.tolist()
-
-
-def solve_mod_p(matrix: np.ndarray, rhs: np.ndarray, p: int) -> "list[int] | None":
-    """One solution of A x = b over F_p, or None when inconsistent."""
-    a = np.asarray(matrix)
-    cols = a.shape[1]
-    aug = np.hstack([a, np.asarray(rhs).reshape(-1, 1)])
-    pivots, free, reduced = echelon_mod_p(aug, p)
-    if cols in pivots:
-        return None
-    # the right-hand side is the last free column
-    x = [0] * cols
-    for pc, value in zip(pivots, reduced[:, -1].tolist()):
-        x[pc] = value
-    return x
 
 
 def char_poly_mod_p(matrix: np.ndarray, p: int) -> "list[int]":
@@ -309,11 +246,6 @@ def rank_det_over_field(rows, field: Field) -> "tuple[int, Coeff]":
     return rank, det if rank == nrows == ncols else field.zero
 
 
-def rank_rational(rows: "list[list[Fraction]]") -> int:
-    """Rank over Q (small inputs)."""
-    return rank_det_over_field(rows, QQ)[0]
-
-
 def det_over_field(rows, field: Field) -> Coeff:
     """Determinant of a small square matrix of raw field values."""
     return rank_det_over_field(rows, field)[1]
@@ -321,8 +253,4 @@ def det_over_field(rows, field: Field) -> Coeff:
 
 def rank_over_field(rows, field: Field) -> int:
     """Rank of a small matrix of raw field values (either field)."""
-    if not rows or not rows[0]:
-        return 0
-    if isinstance(field, PrimeField):
-        return rank_mod_p(np.array(rows, dtype=np.int64), field.p)
-    return rank_rational(rows)
+    return rank_det_over_field(rows, field)[0]

@@ -47,7 +47,7 @@ from math import comb
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import rank_mod_p, rank_rational
+from .linalg import rank_mod_p, rank_over_field
 from .polynomials import Polynomial, monomial_array, shift_positions
 
 
@@ -80,7 +80,7 @@ def _rank(a: np.ndarray, field) -> int:
         return 0
     if isinstance(field, PrimeField):
         return rank_mod_p(a, field.p)
-    return rank_rational(a)
+    return rank_over_field(a, field)
 
 
 def _certified_dimension_at(generators, nvars: int, m: int, M: int, field, built) -> int:

@@ -61,10 +61,6 @@ class Ring:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
-def polynomial_ring(nvars: int, field: Field) -> Ring:
-    return Ring(nvars, field)
-
-
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -107,16 +103,6 @@ class TermOrder:
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
-
-
-def compare_monomials(order: TermOrder, a, b) -> int:
-    """-1, 0 or 1 as a < b, a == b, a > b under the order."""
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def monomials_of_degree(nvars: int, degree: int) -> "list[tuple[int, ...]]":
@@ -272,19 +258,8 @@ class Polynomial:
             raise ValueError("polynomial is not homogeneous")
         return degrees.pop()
 
-    def lead(self, order: TermOrder = GREVLEX):
-        """(monomial, coefficient) of the leading term under the order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
-
     def sorted_terms(self, order: TermOrder = GREVLEX, reverse: bool = True):
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=reverse)
-
-    def constant_value(self):
-        """The coefficient of the constant monomial (zero if absent)."""
-        return self.terms.get(self.ring.zero_monomial(), self.ring.field.zero)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -357,12 +332,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def monic(self, order: TermOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, lc = self.lead(order)
-        return self.scale(self.ring.field.inv(lc))
 
     # -- calculus and substitution ---------------------------------------
 

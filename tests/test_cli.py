@@ -170,7 +170,7 @@ def test_nodes_report_file_and_one_liner(tmp_path, capsys):
     assert saved["seed"] == 1
 
 
-def test_nodes_degenerate_matrix(tmp_path, capsys):
+def degenerate_matrix_file(tmp_path):
     # duplicate index 1 as a copy of index 2 (row and column) so the
     # matrix stays symmetric with two equal rows and det == 0
     field = PrimeField(31991)
@@ -187,7 +187,11 @@ def test_nodes_degenerate_matrix(tmp_path, capsys):
     )
     bad = tmp_path / "degenerate.json"
     bad.write_bytes(dump_json_bytes(obj))
-    code, _, err = run(capsys, "nodes", str(bad))
+    return bad
+
+
+def test_nodes_degenerate_matrix(tmp_path, capsys):
+    code, _, err = run(capsys, "nodes", str(degenerate_matrix_file(tmp_path)))
     assert code == EXIT_DEGENERATE
 
 
@@ -381,6 +385,23 @@ def test_kummer_search_writes_fixture(tmp_path, capsys):
     assert json.loads(out)["t"] == 16
 
 
+@pytest.mark.parametrize("command", ["build", "nodes", "kummer-search"])
+def test_unwritable_out_is_usage(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.json"
+    argv = {
+        "build": ["build", "--type", "(2,2)", "--d", "4", "--delta", "0"],
+        "nodes": ["nodes", str(build_matrix_file(tmp_path, "(2,2)", 4, 0))],
+        "kummer-search": ["kummer-search", "--seed", "1", "--budget", "2"],
+    }[command]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 def test_kummer_search_tiny_field_is_usage_error(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -388,6 +409,84 @@ def test_kummer_search_tiny_field_is_usage_error(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "p > 16" in err
+
+
+# ---------------------------------------------------------------------------
+# one table of failure classes and their exit codes
+
+
+BUILD_22 = ["build", "--type", "(2,2)", "--d", "4", "--delta", "0"]
+
+
+def quartic_file(tmp_path, *flags):
+    """The seed-1 (2,2) quartic matrix file, built with extra build flags."""
+    out_file = tmp_path / "quartic.json"
+    assert main(BUILD_22 + ["--out", str(out_file), *flags]) == EXIT_OK
+    return str(out_file)
+
+
+def malformed_json_file(tmp_path):
+    bad = tmp_path / "malformed.json"
+    bad.write_text("{")
+    return str(bad)
+
+
+def message_lines(err):
+    """The lines of stderr, less argparse's usage synopsis.
+
+    argparse prints a "usage:" line and its indented continuations before
+    its one error line.
+    """
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage: "):
+        lines = [line for line in lines[1:] if not line.startswith(" ")]
+    return lines
+
+
+# id, argv from tmp_path, environment, exit code, fragment of the stderr line
+EXIT_CODE_TABLE = [
+    ("bad-flag", lambda t: ["enumerate", "--d", "4", "--delta", "0", "--bogus"], {},
+     EXIT_USAGE, "unrecognized arguments: --bogus"),
+    ("unknown-field", lambda t: BUILD_22 + ["--field", "r", "--out", str(t / "x.json")], {},
+     EXIT_USAGE, "unknown field 'r'"),
+    ("malformed-json", lambda t: ["nodes", malformed_json_file(t)], {},
+     EXIT_USAGE, "is not valid JSON"),
+    ("rational-nodes", lambda t: ["nodes", quartic_file(t, "--field", "q")], {},
+     EXIT_USAGE, "node counting runs over a prime field"),
+    ("pair-budget-env", lambda t: ["nodes", quartic_file(t)], {"SYMMETROIDS_PAIR_BUDGET": "abc"},
+     EXIT_USAGE, "SYMMETROIDS_PAIR_BUDGET must be an integer"),
+    ("unwritable-out", lambda t: BUILD_22 + ["--out", str(t / "missing" / "x.json")], {},
+     EXIT_USAGE, "cannot write"),
+    ("zero-determinant", lambda t: ["nodes", str(degenerate_matrix_file(t))], {},
+     EXIT_DEGENERATE, "determinant is identically zero"),
+    ("certificate-impossible", lambda t: ["nodes", quartic_file(t, "--field", "fp:7")], {},
+     EXIT_UNCERTIFIED, "certificate needs p > colength"),
+    ("search-not-found", lambda t: ["kummer-search", "--budget", "0", "--out", str(t / "k.json")],
+     {}, EXIT_UNCERTIFIED, "no certified 16-node member found within budget 0"),
+    ("pair-budget", lambda t: ["nodes", quartic_file(t), "--pair-budget", "1"], {},
+     EXIT_BUDGET, "S-pair budget of 1 exhausted"),
+    ("success", lambda t: ["nodes", quartic_file(t)], {}, EXIT_OK, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, fragment",
+    [row[1:] for row in EXIT_CODE_TABLE],
+    ids=[row[0] for row in EXIT_CODE_TABLE],
+)
+def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, env, code, fragment):
+    args = argv(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    got, _, err = run(capsys, *args)
+    assert got == code
+    if fragment is None:
+        assert err == ""
+        return
+    assert "Traceback" not in err
+    (line,) = message_lines(err)
+    assert fragment in line
 
 
 # ---------------------------------------------------------------------------

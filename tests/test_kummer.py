@@ -5,8 +5,13 @@ pipeline certifies t = 16 and the rank-based colength oracle agrees in
 both charts (scripts/pin_oracle_values.py reruns that derivation).
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symmetroids import kummer
 from symmetroids.fields import DEFAULT_PRIME, PrimeField
 from symmetroids.groebner import CertificateError
 from symmetroids.kummer import family_member, search_sixteen_nodes
@@ -97,3 +102,67 @@ def test_small_field_orbit_is_visible():
     assert len(points) == 16
     for point in points[:4]:
         assert hessian_rank_at_point(result.surface, point) == 3
+
+
+# -- the 4x5 kernel by Cramer's rule against Gauss-Jordan ------------------
+
+
+def gauss_jordan_kernel(rows, p):
+    """A right-kernel basis over F_p by textbook Gauss-Jordan.
+
+    One vector per free column: 1 there, minus that RREF column at the pivots.
+    """
+    m = [[v % p for v in row] for row in rows]
+    ncols = len(m[0])
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for row, col in zip(m, pivots):
+            v[col] = -row[free] % p
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([31, 31991, 2**61 - 1]),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=2),
+)
+def test_kernel_vector_matches_gauss_jordan(seed, p, rank, zero_cols):
+    # a product through `rank` columns, then whole columns zeroed
+    rng = random.Random(seed)
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(4)]
+    right = [[rng.randrange(p) for _ in range(5)] for _ in range(rank)]
+    system = [
+        [sum(left[i][k] * right[k][j] for k in range(rank)) % p for j in range(5)]
+        for i in range(4)
+    ]
+    for j in rng.sample(range(5), zero_cols):
+        for row in system:
+            row[j] = 0
+    kernel = gauss_jordan_kernel(system, p)
+    got = kummer._kernel_vector(system, PrimeField(p))
+    if len(kernel) > 1:
+        assert got is None
+        return
+    (v,) = kernel
+    last = max(i for i, x in enumerate(v) if x)
+    inv = pow(v[last], -1, p)
+    assert got == tuple(x * inv % p for x in v)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from symmetroids.fields import QQ, PrimeField
 from symmetroids.linalg import rank_over_field
-from symmetroids.polynomials import monomials_of_degree, polynomial_ring
+from symmetroids.polynomials import Ring, monomials_of_degree
 from symmetroids.randomness import (
     element_stream,
     random_form,
@@ -37,7 +37,7 @@ def test_stream_over_q_stays_small():
 
 
 def test_random_form_shape_and_determinism():
-    ring = polynomial_ring(4, F)
+    ring = Ring(4, F)
     f = random_form(ring, 2, 5, "entry", "0", "1")
     g = random_form(ring, 2, 5, "entry", "0", "1")
     assert f == g
@@ -48,7 +48,7 @@ def test_random_form_shape_and_determinism():
 
 
 def test_random_linear_form():
-    ring = polynomial_ring(3, F)
+    ring = Ring(3, F)
     form = random_linear_form(ring, 9, "aux")
     assert form.is_homogeneous() and form.homogeneous_degree() == 1
 
