@@ -21,13 +21,11 @@ from .matrices import (
     surface_from_matrix,
 )
 from .polynomials import (
-    GREVLEX,
-    LEX,
     Polynomial,
     PolyParseError,
     Ring,
-    TermOrder,
     format_polynomial,
+    grevlex_key,
     parse_polynomial,
 )
 from .groebner import (
@@ -46,7 +44,6 @@ from .nodes import (
     enumerate_rational_singular_points,
     hessian_rank_at_point,
     rank_drop_check,
-    singular_ideal,
 )
 from .enumeration import (
     CONSTRAINT_NAMES,

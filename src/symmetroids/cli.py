@@ -13,7 +13,9 @@ Exit codes
     1  verification failed (scenario sub-check or requested identity)
     2  usage errors: bad flags, malformed input files, invalid types,
        a rational input to nodes (node counting runs over a prime field),
-       an output path that cannot be written
+       an output path that cannot be written (build, nodes and
+       kummer-search reject an --out in a missing directory before any
+       work)
     3  degenerate input (zero or non-reduced determinant)
     4  uncertified or not found (report not certified, chart mismatch,
        certificate cannot run because p <= t, search budget exhausted,
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from .cohomology import (
@@ -129,6 +132,15 @@ def _load_json_file(path: str) -> dict:
         raise _UsageError(f"{path} is not valid JSON: {exc}")
 
 
+def _check_out_dir(path: "str | None") -> None:
+    """Reject an --out path in a missing directory before any work."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise _UsageError(f"cannot write {path}: no such directory {directory}")
+
+
 def _write_file(path: str, payload: bytes) -> None:
     try:
         with open(path, "wb") as fh:
@@ -160,6 +172,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_build(args) -> int:
+    _check_out_dir(args.out)
     try:
         dt = DegreeType(args.d, args.delta, args.type)
     except ValueError as exc:
@@ -206,6 +219,7 @@ def _read_matrix_or_surface(path: str):
 
 
 def cmd_nodes(args) -> int:
+    _check_out_dir(args.out)
     try:
         matrix, spec = _read_matrix_or_surface(args.input)
     except _UsageError as exc:
@@ -301,6 +315,7 @@ def cmd_verify_case(args) -> int:
 
 
 def cmd_kummer_search(args) -> int:
+    _check_out_dir(args.out)
     try:
         field = PrimeField(args.p)
     except FieldError as exc:

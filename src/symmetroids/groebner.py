@@ -3,11 +3,11 @@
 The engine is a plain Buchberger loop with the two classical pair
 filters (coprime leading monomials and the Gebauer-Moller chain
 criteria), normal pair selection (smallest lcm degree first, ties broken
-by the term order and then by index), and full tail reduction at the
-end.  Output bases are reduced: monic, minimal, mutually tail-reduced,
-sorted by ascending leading monomial.  Reduced bases are unique per
-(ideal, order), which makes basis equality a usable ideal-equality test
-and makes the whole pipeline deterministic.
+by grevlex and then by index), and full tail reduction at the end.  The
+term order is grevlex throughout.  Output bases are reduced: monic,
+minimal, mutually tail-reduced, sorted by ascending leading monomial.
+Reduced bases are unique per ideal, which makes basis equality a usable
+ideal-equality test and makes the whole pipeline deterministic.
 
 Division keeps the working polynomial in a dict plus a lazy max-heap of
 monomial keys, so extracting the current lead term is O(log n) instead
@@ -32,10 +32,9 @@ import numpy as np
 from .fields import PrimeField
 from .linalg import char_poly_mod_p, squarefree_univariate_mod_p
 from .polynomials import (
-    GREVLEX,
     Polynomial,
     Ring,
-    TermOrder,
+    grevlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -73,16 +72,16 @@ def effective_pair_budget(pair_budget: "int | None") -> int:
     return DEFAULT_PAIR_BUDGET
 
 
-def _heap_key(order: TermOrder, mono):
-    """A key whose min-heap order equals descending term order."""
-    return tuple([-k for k in order.key(mono)])
+def _heap_key(mono):
+    """A key whose min-heap order equals descending grevlex."""
+    return tuple([-k for k in grevlex_key(mono)])
 
 
 def _coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _normal_form_raw(fterms: dict, reducers, order: TermOrder, field, key_cache: dict) -> dict:
+def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
     """Remainder of f modulo a list of monic (lead, tail) reducers."""
     if not fterms:
         return {}
@@ -94,7 +93,7 @@ def _normal_form_raw(fterms: dict, reducers, order: TermOrder, field, key_cache:
     for m in work:
         hk = key_cache.get(m)
         if hk is None:
-            hk = _heap_key(order, m)
+            hk = _heap_key(m)
             key_cache[m] = hk
         heap.append((hk, m))
     heapq.heapify(heap)
@@ -129,7 +128,7 @@ def _normal_form_raw(fterms: dict, reducers, order: TermOrder, field, key_cache:
                     work[mono] = val
                     hk = key_cache.get(mono)
                     if hk is None:
-                        hk = _heap_key(order, mono)
+                        hk = _heap_key(mono)
                         key_cache[mono] = hk
                     heapq.heappush(heap, (hk, mono))
             else:
@@ -141,10 +140,9 @@ def _normal_form_raw(fterms: dict, reducers, order: TermOrder, field, key_cache:
     return out
 
 
-def _split_monic(terms: dict, order: TermOrder, field):
+def _split_monic(terms: dict, field):
     """(lead monomial, tail dict) of a monic copy of the polynomial."""
-    key = order.key
-    lm = max(terms, key=key)
+    lm = max(terms, key=grevlex_key)
     lc = terms[lm]
     if lc == field.one:
         tail = {m: c for m, c in terms.items() if m != lm}
@@ -184,10 +182,9 @@ def _is_constant_terms(terms: dict) -> bool:
     return len(terms) == 1 and not any(next(iter(terms)))
 
 
-def _buchberger_raw(inputs: "list[dict]", ring: Ring, order: TermOrder, budget: int):
+def _buchberger_raw(inputs: "list[dict]", ring: Ring, budget: int):
     """Raw Buchberger; returns a list of monic (lead, tail) pairs."""
     field = ring.field
-    key = order.key
     key_cache: dict = {}
     one = [((0,) * ring.nvars, {})]
 
@@ -233,19 +230,19 @@ def _buchberger_raw(inputs: "list[dict]", ring: Ring, order: TermOrder, budget: 
     for terms in inputs:
         if not terms:
             continue
-        r = _normal_form_raw(terms, reducers(), order, field, key_cache)
+        r = _normal_form_raw(terms, reducers(), field, key_cache)
         if not r:
             continue
         if _is_constant_terms(r):
             return one
-        store.append(_split_monic(r, order, field))
+        store.append(_split_monic(r, field))
         update(len(store) - 1)
 
     processed = 0
     while pending:
         pair = min(
             pending.items(),
-            key=lambda kv: (kv[1][0], key(kv[1][1]), kv[0]),
+            key=lambda kv: (kv[1][0], grevlex_key(kv[1][1]), kv[0]),
         )[0]
         del pending[pair]
         processed += 1
@@ -255,21 +252,20 @@ def _buchberger_raw(inputs: "list[dict]", ring: Ring, order: TermOrder, budget: 
             )
         i, j = pair
         s = _spoly_raw(store[i], store[j], field)
-        r = _normal_form_raw(s, reducers(), order, field, key_cache)
+        r = _normal_form_raw(s, reducers(), field, key_cache)
         if not r:
             continue
         if _is_constant_terms(r):
             return one
-        store.append(_split_monic(r, order, field))
+        store.append(_split_monic(r, field))
         update(len(store) - 1)
 
-    return _reduce_basis_raw([store[g] for g in alive], order, field, key_cache)
+    return _reduce_basis_raw([store[g] for g in alive], field, key_cache)
 
 
-def _reduce_basis_raw(elements, order: TermOrder, field, key_cache):
+def _reduce_basis_raw(elements, field, key_cache):
     """Minimalize then tail-reduce; output sorted by ascending lead."""
-    key = order.key
-    elements = sorted(elements, key=lambda e: key(e[0]))
+    elements = sorted(elements, key=lambda e: grevlex_key(e[0]))
     minimal = []
     for lm, tail in elements:
         if not any(mono_divides(other[0], lm) for other in minimal):
@@ -277,18 +273,17 @@ def _reduce_basis_raw(elements, order: TermOrder, field, key_cache):
     reduced = []
     for idx, (lm, tail) in enumerate(minimal):
         others = [minimal[k] for k in range(len(minimal)) if k != idx]
-        new_tail = _normal_form_raw(tail, others, order, field, key_cache)
+        new_tail = _normal_form_raw(tail, others, field, key_cache)
         reduced.append((lm, new_tail))
-    reduced.sort(key=lambda e: key(e[0]))
+    reduced.sort(key=lambda e: grevlex_key(e[0]))
     return reduced
 
 
 class GroebnerBasis:
     """A reduced basis together with division and staircase queries."""
 
-    def __init__(self, ring: Ring, order: TermOrder, raw_elements):
+    def __init__(self, ring: Ring, raw_elements):
         self.ring = ring
-        self.order = order
         self._raw = list(raw_elements)
         self._key_cache: dict = {}
         self.elements = tuple(
@@ -301,11 +296,7 @@ class GroebnerBasis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.order == other.order
-            and self.elements == other.elements
-        )
+        return self.ring == other.ring and self.elements == other.elements
 
     def __iter__(self):
         return iter(self.elements)
@@ -319,13 +310,8 @@ class GroebnerBasis:
     def normal_form(self, poly: Polynomial) -> Polynomial:
         if poly.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        out = _normal_form_raw(
-            poly.terms, self._raw, self.order, self.ring.field, self._key_cache
-        )
+        out = _normal_form_raw(poly.terms, self._raw, self.ring.field, self._key_cache)
         return Polynomial(self.ring, out)
-
-    def contains(self, poly: Polynomial) -> bool:
-        return not self.normal_form(poly)
 
     def quotient_monomials(self) -> "list[tuple[int, ...]] | None":
         """The staircase basis of the quotient, or None when infinite.
@@ -360,7 +346,7 @@ class GroebnerBasis:
                 continue
             for e in range(caps[i]):
                 stack.append((i + 1, prefix + (e,)))
-        out.sort(key=self.order.key)
+        out.sort(key=grevlex_key)
         return out
 
     def colength(self):
@@ -372,7 +358,7 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal given by generators, with per-order cached reduced bases."""
+    """An ideal given by generators."""
 
     def __init__(self, ring: Ring, generators: Iterable[Polynomial]):
         gens = []
@@ -383,32 +369,23 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._bases: "dict[TermOrder, GroebnerBasis]" = {}
 
-    def groebner_basis(
-        self, order: TermOrder = GREVLEX, pair_budget: "int | None" = None
-    ) -> GroebnerBasis:
-        cached = self._bases.get(order)
-        if cached is not None:
-            return cached
+    def groebner_basis(self, *, pair_budget: "int | None" = None) -> GroebnerBasis:
+        """The reduced grevlex basis, computed afresh on each call."""
         budget = effective_pair_budget(pair_budget)
-        raw = _buchberger_raw(
-            [dict(g.terms) for g in self.generators], self.ring, order, budget
-        )
-        basis = GroebnerBasis(self.ring, order, raw)
-        self._bases[order] = basis
-        return basis
+        raw = _buchberger_raw([dict(g.terms) for g in self.generators], self.ring, budget)
+        return GroebnerBasis(self.ring, raw)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GREVLEX) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) after making both inputs monic."""
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     field = f.ring.field
-    a = _split_monic(f.terms, order, field)
-    b = _split_monic(g.terms, order, field)
+    a = _split_monic(f.terms, field)
+    b = _split_monic(g.terms, field)
     return Polynomial(f.ring, _spoly_raw(a, b, field))
 
 
@@ -417,7 +394,7 @@ def audit_s_polynomials(basis: GroebnerBasis) -> bool:
     elems = basis.elements
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            s = s_polynomial(elems[i], elems[j], basis.order)
+            s = s_polynomial(elems[i], elems[j])
             if basis.normal_form(s):
                 return False
     return True
@@ -433,15 +410,14 @@ def radical_membership(
     """f in rad(I), decided by 1 in I + (t*f - 1).
 
     The Buchberger loop short-circuits the moment a nonzero constant
-    appears, so positive answers return quickly.  Whether 1 lies in the
-    ideal does not depend on the term order, so the basis is grevlex.
+    appears, so positive answers return quickly.
     """
     if f.ring != ideal.ring:
         raise ValueError("ring mismatch")
     if not f:
         return True
     ring = ideal.ring
-    ext = Ring(ring.nvars + 1, ring.field, ("t",) + ring.names)
+    ext = Ring(ring.nvars + 1, ring.field)
     field = ring.field
     gens = [
         Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()})
@@ -451,7 +427,7 @@ def radical_membership(
     const = (0,) * ext.nvars
     tf[const] = field.neg(field.one)
     gens.append(Polynomial(ext, tf))
-    basis = Ideal(ext, gens).groebner_basis(GREVLEX, pair_budget)
+    basis = Ideal(ext, gens).groebner_basis(pair_budget=pair_budget)
     return basis.is_unit_ideal()
 
 

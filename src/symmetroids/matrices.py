@@ -35,13 +35,7 @@ from itertools import combinations
 
 from .fields import Field, field_from_json
 from .linalg import det_over_field
-from .polynomials import (
-    GREVLEX,
-    Polynomial,
-    Ring,
-    format_polynomial,
-    parse_polynomial,
-)
+from .polynomials import Polynomial, Ring, format_polynomial, parse_polynomial
 from .randomness import element_stream, random_form
 
 AMBIENT_VARS = 4
@@ -364,7 +358,7 @@ def matrix_to_json_dict(matrix: SymmetricFormMatrix) -> dict:
         "delta": dt.delta,
         "degree_type": list(dt.degrees),
         "entries": [
-            [format_polynomial(e, GREVLEX) for e in row] for row in matrix.entries
+            [format_polynomial(e) for e in row] for row in matrix.entries
         ],
     }
 
@@ -396,7 +390,7 @@ def surface_to_json_dict(spec: SurfaceSpec) -> dict:
     out = {
         "field": spec.ring.field.to_json(),
         "d": spec.d,
-        "f": format_polynomial(spec.f, GREVLEX),
+        "f": format_polynomial(spec.f),
     }
     if spec.provenance:
         out["provenance"] = spec.provenance

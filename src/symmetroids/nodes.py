@@ -81,12 +81,6 @@ class NodeReport:
         }
 
 
-def singular_ideal(spec: SurfaceSpec) -> Ideal:
-    """The homogeneous ideal (f, df/dx0, ..., df/dx3)."""
-    gens = [spec.f] + [spec.f.partial_derivative(i) for i in range(AMBIENT_VARS)]
-    return Ideal(spec.ring, gens)
-
-
 def affine_jacobian_ideal(spec: SurfaceSpec, transform) -> Ideal:
     """Jacobian ideal in the chart x3 = 1 after the coordinate change."""
     g = spec.f.linear_change(transform)

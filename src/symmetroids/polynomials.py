@@ -5,17 +5,13 @@ nonnegative ints, one slot per ring variable) to nonzero coefficients.
 Zero coefficients are dropped eagerly, so the zero polynomial is the
 empty mapping and equality is plain dict equality.
 
-Term orders are small value objects whose ``key`` is the one definition
-of the order: a flat tuple of ints, compared lexicographically, that
-sorts monomials ascending.
-
-* ``grevlex`` (the default everywhere): higher total degree wins; ties
-  break by the *smallest* exponent on the *last* variable.  The key is
-  ``(deg, -e_{n-1}, ..., -e_0)``.
-* ``lex`` with x0 > x1 > ... .  The key is the exponent vector itself.
-
-Because the keys are flat, negating every slot gives a key for the
-descending order, which is what the Groebner engine's division heap uses.
+The one term order is grevlex: higher total degree wins; ties break by
+the *smallest* exponent on the *last* variable.  ``grevlex_key`` is its
+one definition, the flat tuple ``(deg, -e_{n-1}, ..., -e_0)`` that sorts
+monomials ascending.  Negating every slot gives a key for the descending
+order, which is what the Groebner engine's division heap uses.  Every
+number the package reads off a Groebner basis is a dimension of
+k[x]/I, which does not depend on the order.
 
 The text format is deliberately tiny.  Variables are ``x0 .. x{n-1}``,
 ``^`` marks exponents >= 2, ``*`` separates factors, coefficients are
@@ -26,7 +22,7 @@ parse(print(f)) == f exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -40,25 +36,20 @@ Monomial = "tuple[int, ...]"
 
 @dataclass(frozen=True)
 class Ring:
-    """A polynomial ring: a coefficient field, a variable count, and names."""
+    """A polynomial ring: a coefficient field and a variable count."""
 
     nvars: int
     field: Field
-    names: "tuple[str, ...]" = dc_field(default=())
 
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("a ring needs at least one variable")
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"x{i}" for i in range(self.nvars)))
-        elif len(self.names) != self.nvars:
-            raise ValueError("variable name count does not match nvars")
 
     def zero_monomial(self) -> "tuple[int, ...]":
         return (0,) * self.nvars
 
     def __str__(self) -> str:
-        return f"{self.field}[{', '.join(self.names)}]"
+        return f"{self.field}[{', '.join(f'x{i}' for i in range(self.nvars))}]"
 
 
 def mono_mul(a, b):
@@ -82,27 +73,15 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """A monomial order given by an ascending sort key on exponent vectors."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown term order kind {self.kind!r}")
-
-    def key(self, mono):
-        if self.kind == "grevlex":
-            return (sum(mono), *[-e for e in reversed(mono)])
-        return mono
-
-    def __str__(self) -> str:
-        return self.kind
+def grevlex_key(mono):
+    """Ascending grevlex sort key of an exponent vector."""
+    return (sum(mono), *[-e for e in reversed(mono)])
 
 
-GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
+# Unused in the package; it stays bound because the benchmark's tracer
+# (bench/spans.py) files each Ideal.groebner_basis call under its grevlex
+# span by comparing against polynomials.GREVLEX.
+GREVLEX = grevlex_key
 
 
 def monomials_of_degree(nvars: int, degree: int) -> "list[tuple[int, ...]]":
@@ -119,7 +98,7 @@ def monomials_of_degree(nvars: int, degree: int) -> "list[tuple[int, ...]]":
             rec(prefix + (e,), remaining - e, slots - 1)
 
     rec((), degree, nvars)
-    out.sort(key=GREVLEX.key)
+    out.sort(key=grevlex_key)
     return out
 
 
@@ -257,9 +236,6 @@ class Polynomial:
         if len(degrees) != 1:
             raise ValueError("polynomial is not homogeneous")
         return degrees.pop()
-
-    def sorted_terms(self, order: TermOrder = GREVLEX, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=reverse)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -624,18 +600,18 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     return Polynomial(ring, terms)
 
 
-def _format_monomial(ring: Ring, mono) -> str:
+def _format_monomial(mono) -> str:
     parts = []
-    for name, e in zip(ring.names, mono):
+    for i, e in enumerate(mono):
         if e == 1:
-            parts.append(name)
+            parts.append(f"x{i}")
         elif e >= 2:
-            parts.append(f"{name}^{e}")
+            parts.append(f"x{i}^{e}")
     return "*".join(parts)
 
 
-def format_polynomial(poly: Polynomial, order: TermOrder = GREVLEX) -> str:
-    """Canonical text: descending term order, explicit '*', minimal signs.
+def format_polynomial(poly: Polynomial) -> str:
+    """Canonical text: descending grevlex, explicit '*', minimal signs.
 
     Over Q the printer uses binary +/- with positive rendered
     coefficients; over F_p coefficients are residues in [0, p) and only
@@ -643,12 +619,12 @@ def format_polynomial(poly: Polynomial, order: TermOrder = GREVLEX) -> str:
     """
     if not poly.terms:
         return "0"
-    ring = poly.ring
-    field = ring.field
+    field = poly.ring.field
     rational = isinstance(field, RationalField)
     pieces = []
-    for i, (mono, coeff) in enumerate(poly.sorted_terms(order)):
-        mono_text = _format_monomial(ring, mono)
+    terms = sorted(poly.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
+    for i, (mono, coeff) in enumerate(terms):
+        mono_text = _format_monomial(mono)
         if rational:
             negative = coeff < 0
             mag = -coeff if negative else coeff

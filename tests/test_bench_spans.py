@@ -18,3 +18,31 @@ def test_tracer_install_and_uninstall_restore_every_attribute(repo_module):
     assert not tracer._patches
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_node_pipeline_files_every_basis_under_grevlex(repo_module):
+    # the tracer names a basis span by comparing the call's order against
+    # polynomials.GREVLEX, at call time: without that name the traced
+    # pipeline fails, and a positional groebner_basis argument would be
+    # read as an order and filed under the block span
+    from symmetroids import nodes
+    from symmetroids.fields import PrimeField
+    from symmetroids.matrices import DegreeType, SymmetricFormMatrix, surface_from_matrix
+
+    spans = repo_module("bench/spans.py")
+    matrix = SymmetricFormMatrix.random(DegreeType(4, 0, (2, 2)), PrimeField(31991), seed=1)
+    spec = surface_from_matrix(matrix)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        report = nodes.count_nodes(spec, seed=1)
+        assert nodes.rank_drop_check(matrix, report)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    # chart a, chart b and the minors ideal
+    assert names.count("groebner.basis.grevlex") == 3
+    assert "groebner.basis.block" not in names
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"

@@ -26,7 +26,7 @@ from symmetroids.matrices import (
     surface_from_matrix,
     surface_to_json_dict,
 )
-from symmetroids import scenarios
+from symmetroids import cli, scenarios
 from symmetroids.fields import PrimeField
 
 
@@ -385,14 +385,21 @@ def test_kummer_search_writes_fixture(tmp_path, capsys):
     assert json.loads(out)["t"] == 16
 
 
+def _not_called(*args, **kwargs):
+    raise AssertionError("the computation ran before --out was checked")
+
+
 @pytest.mark.parametrize("command", ["build", "nodes", "kummer-search"])
-def test_unwritable_out_is_usage(tmp_path, capsys, command):
+def test_unwritable_out_is_usage(tmp_path, capsys, monkeypatch, command):
+    # a missing directory is rejected before any input is read or computed
     target = tmp_path / "missing" / "x.json"
     argv = {
         "build": ["build", "--type", "(2,2)", "--d", "4", "--delta", "0"],
         "nodes": ["nodes", str(build_matrix_file(tmp_path, "(2,2)", 4, 0))],
         "kummer-search": ["kummer-search", "--seed", "1", "--budget", "2"],
     }[command]
+    for name in ("surface_from_matrix", "count_nodes", "search_sixteen_nodes"):
+        monkeypatch.setattr(cli, name, _not_called)
     capsys.readouterr()
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == EXIT_USAGE

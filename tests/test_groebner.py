@@ -22,13 +22,8 @@ from symmetroids.groebner import (
     s_polynomial,
     squarefree_certificate,
 )
-from symmetroids.polynomials import (
-    GREVLEX,
-    LEX,
-    Polynomial,
-    Ring,
-    parse_polynomial,
-)
+from symmetroids.macaulay import macaulay_colength
+from symmetroids.polynomials import Polynomial, Ring, grevlex_key, parse_polynomial
 from symmetroids.randomness import random_form
 
 F = PrimeField(31991)
@@ -54,7 +49,7 @@ def test_basis_is_reduced():
     leads = basis.lead_monomials()
     assert len(set(leads)) == len(leads)
     for g in basis:
-        lm = max(g.terms, key=GREVLEX.key)
+        lm = max(g.terms, key=grevlex_key)
         assert g.terms[lm] == F.one
         for mono in g.terms:
             if mono == lm:
@@ -82,16 +77,15 @@ def test_unit_ideal_short_circuit():
     assert basis.colength() == 0
 
 
-def test_katsura_like_system_lex_vs_grevlex():
-    # both orders must agree on membership and colength
+def test_katsura_like_system_against_the_oracle():
+    # the staircase colength must match the rank-based Macaulay oracle,
+    # which shares no code with the Buchberger engine
     gens = ("x0 + 2*x1 + 2*x2 - 1", "x0^2 + 2*x1^2 + 2*x2^2 - x0", "2*x0*x1 + 2*x1*x2 - x1")
     i1 = ideal(*gens)
-    g_grevlex = i1.groebner_basis(GREVLEX)
-    g_lex = i1.groebner_basis(LEX)
-    assert g_grevlex.colength() == g_lex.colength()
+    basis = i1.groebner_basis()
+    assert basis.colength() == macaulay_colength(list(i1.generators))
     member = poly(gens[0]) * poly("x2^3 - 5") + poly(gens[2]) * poly("x0 - x1")
-    assert g_grevlex.contains(member)
-    assert g_lex.contains(member)
+    assert not basis.normal_form(member)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +124,7 @@ def test_normal_form_properties():
     for mono in r.terms:
         assert not any(all(l <= m for l, m in zip(lm, mono)) for lm in leads)
     # f - r is in the ideal, and reduction is idempotent
-    assert basis.contains(f - r)
+    assert not basis.normal_form(f - r)
     assert basis.normal_form(r) == r
     # x0^4 = (x0^2)^2 -> x1^2 -> x2, so f reduces to x2 + x1 + 7
     assert r == poly("x2 + x1 + 7")
@@ -294,7 +288,7 @@ def test_membership_of_random_combinations(seed):
     a = random_form(R3, 2, seed, "comb-a")
     b = random_form(R3, 1, seed, "comb-b")
     combo = a * i1.generators[0] + b * i1.generators[1]
-    assert basis.contains(combo)
+    assert not basis.normal_form(combo)
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,4 +299,4 @@ def test_normal_form_is_linear_and_idempotent(f, g):
     rg = basis.normal_form(g)
     assert basis.normal_form(f + g) == rf + rg
     assert basis.normal_form(rf) == rf
-    assert basis.contains(f - rf)
+    assert not basis.normal_form(f - rf)

@@ -18,13 +18,10 @@ ALLOWLIST = {
     "congruence_transform": "congruence invariance of the node count (acceptance criterion 6)",
     "random_congruence_matrix": "draws the congruences of acceptance criterion 6",
     "audit_s_polynomials": "criterion-free Buchberger audit of the acceptance tests",
-    "GroebnerBasis.contains": "ideal membership; the tests check J in M, the inclusion "
-    "the rank-drop verdict rests on",
     # tracer hooks
     "radical_membership": "bench/spans.py wraps nodes.radical_membership by name",
     # public entry points, exported from the package
     "run_all": "runs every pinned scenario, the library form of verify-case",
-    "singular_ideal": "the homogeneous ideal of the singular scheme",
 }
 
 
