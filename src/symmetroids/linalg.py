@@ -1,13 +1,26 @@
 """Exact linear algebra kernels.
 
-There are two eliminations, and the library asks both only for ranks
-and determinants.  `_forward_chain` is the numpy kernel for prime-field
-matrices of any size, and `rank_mod_p` counts its pivots.
-`rank_det_over_field` is plain Python Gaussian elimination over either
-field, returning rank and determinant: `rank_over_field` and
-`det_over_field` wrap it.  It serves rational matrices and the tiny
-prime-field matrices (4x4 coordinate changes, Hessians and minors)
-whose arithmetic costs less than numpy's fixed per-call set-up.
+There are two eliminations, and the library asks both only for pivots,
+ranks and determinants.  `_forward_chain` is the numpy kernel for
+prime-field matrices of any size: `pivots_mod_p` returns its pivots and
+`rank_mod_p` counts them.  `pivots_det_over_field` is plain Python
+elimination over either field, returning pivots and determinant:
+`rank_det_over_field`, `rank_over_field` and `det_over_field` wrap it.
+It serves rational matrices and the tiny prime-field matrices (4x4
+coordinate changes, Hessians and minors) whose arithmetic costs less
+than numpy's fixed per-call set-up.
+
+Both report each pivot as a (row, column) pair, in ascending row order,
+and both honour one contract: the rows are eliminated in order, each
+reduced by the pivot rows before it, and its leftmost nonzero entry
+becomes its pivot.  A later row never moves an earlier pivot, so for
+every leading submatrix
+
+    rank A[:R, :C] = #{pivots (r, c) with r < R and c < C}
+
+(the rank profile of Dumas, Pernet and Sultan, J. Symb. Comput. 2017).
+The pivot list is the same whichever way the earlier rows are combined,
+so the blocked kernel below gives the same pairs as the plain one.
 
 The F_p elimination is blocked, forward-only elimination with delayed
 modular reduction in the manner of Dumas, Giorgi and Pernet
@@ -22,9 +35,9 @@ panel B is reduced by the earlier steps in order,
 and then a short loop echelonizes what is left of it, one step per
 panel row, so the number of Python-level steps does not grow with the
 number of columns.  Stored rows are never reduced again, E is never
-re-stacked and nothing is back-substituted, since the pivots are all a
-rank needs.  Once every column is a pivot, the remaining rows are not
-read.
+re-stacked and nothing is back-substituted, since the pivots are all
+the callers need.  Once every column is a pivot, the remaining rows
+are not read.
 
 The arithmetic runs in float64, on BLAS, whenever a dot product of n
 residues cannot leave the range where float64 holds integers exactly:
@@ -69,18 +82,18 @@ def _exact_dtype(n: int, p: int):
 def _forward_chain(matrix, p: int):
     """(pivots, chain): forward elimination over F_p, one panel at a time.
 
-    pivots lists the pivot columns in the order they were found.  Panel
-    k that adds pivots leaves one chain step (positions, keep, rows):
-    `positions` are its pivot columns and `keep` the mask of the other
-    ones, both within the columns that were still free before it, and
-    `rows` are its pivot rows on the kept columns, reduced mod p (on
-    `positions` they are the identity).  The input is read one panel at a time and never
-    modified or copied whole.
+    pivots lists each pivot as a (row, column) pair of the input, in
+    ascending row order.  Panel k that adds pivots leaves one chain step
+    (positions, keep, rows): `positions` are its pivot columns and `keep`
+    the mask of the other ones, both within the columns that were still
+    free before it, and `rows` are its pivot rows on the kept columns,
+    reduced mod p (on `positions` they are the identity).  The input is
+    read one panel at a time and never modified or copied whole.
     """
     a = np.asarray(matrix)
     rows, cols = a.shape
     dtype = _exact_dtype(min(rows, cols), p)
-    pivots: "list[int]" = []
+    pivots: "list[tuple[int, int]]" = []
     free = np.arange(cols)
     chain = []
     for start in range(0, rows, PANEL_ROWS):
@@ -96,7 +109,7 @@ def _forward_chain(matrix, p: int):
         keep = np.ones(free.size, dtype=bool)
         keep[positions] = False
         chain.append((positions, keep, block[[i for i, _ in found]][:, keep] % p))
-        pivots.extend(free[positions].tolist())
+        pivots.extend((start + i, int(free[j])) for i, j in found)
         free = free[keep]
     return pivots, chain
 
@@ -128,6 +141,11 @@ def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
             block[hit, j:] -= factors[hit, None] * row[j:]
         found.append((i, j))
     return found
+
+
+def pivots_mod_p(matrix: np.ndarray, p: int) -> "list[tuple[int, int]]":
+    """The (row, column) pivot pairs over F_p; does not modify the input."""
+    return _forward_chain(matrix, p)[0]
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -213,37 +231,52 @@ def squarefree_univariate_mod_p(coeffs: Sequence[int], p: int) -> bool:
     return len(poly_gcd_mod_p(f, df, p)) == 1
 
 
-def rank_det_over_field(rows, field: Field) -> "tuple[int, Coeff]":
-    """(rank, determinant) of a small matrix of raw field values.
+def pivots_det_over_field(rows, field: Field) -> "tuple[list[tuple[int, int]], Coeff]":
+    """(pivots, determinant) of a matrix of raw field values.
 
-    Gaussian elimination to row echelon form in plain Python.  The
-    determinant is the field's zero unless the matrix is square and
-    invertible; the 0x0 matrix has determinant one.
+    Plain Python elimination that walks the rows in order: each row is
+    reduced by the pivot rows before it, and its leftmost nonzero entry,
+    if any, becomes a (row, column) pivot.  The determinant is the
+    field's zero unless the matrix is square and invertible; the 0x0
+    matrix has determinant one.
     """
-    m = [[field.normalize(v) for v in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
     sub, mul = field.sub, field.mul
-    rank = 0
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    echelon = []  # (column, inverse of the leading entry, row from that column on)
+    pivots = []
     det = field.one
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
+    for r, raw in enumerate(rows):
+        row = [field.normalize(v) for v in raw]
+        for j, inv, top in echelon:
+            if row[j]:
+                factor = mul(row[j], inv)
+                row[j:] = [sub(a, mul(factor, b)) for a, b in zip(row[j:], top)]
+        for j, lead in enumerate(row):
+            if lead:
+                break
+        else:
             continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = field.neg(det)
-        top = m[rank]
-        det = mul(det, top[col])
-        inv = field.inv(top[col])
-        for r in range(rank + 1, nrows):
-            if m[r][col]:
-                factor = mul(m[r][col], inv)
-                m[r] = [sub(a, mul(factor, b)) for a, b in zip(m[r], top)]
-        rank += 1
-        if rank == nrows:
+        det = mul(det, lead)
+        echelon.append((j, field.inv(lead), row[j:]))
+        pivots.append((r, j))
+        if len(pivots) == ncols:
             break
-    return rank, det if rank == nrows == ncols else field.zero
+    if not len(pivots) == nrows == ncols:
+        return pivots, field.zero
+    # det is the product of the leading entries times the sign of the
+    # permutation that sends row r to its pivot column
+    swaps = 0
+    for k, (_, j) in enumerate(pivots):
+        for _, later in pivots[k + 1 :]:
+            swaps += j > later
+    return pivots, field.neg(det) if swaps % 2 else det
+
+
+def rank_det_over_field(rows, field: Field) -> "tuple[int, Coeff]":
+    """(rank, determinant) of a small matrix of raw field values."""
+    pivots, det = pivots_det_over_field(rows, field)
+    return len(pivots), det
 
 
 def det_over_field(rows, field: Field) -> Coeff:

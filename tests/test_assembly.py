@@ -99,6 +99,22 @@ def reference_macaulay(generators, nvars, M, field):
     return np.array(rows, dtype=dtype).reshape(len(rows), len(columns))
 
 
+def in_elimination_order(generators, nvars, M, reference):
+    """The reference fill permuted into `_macaulay_matrix`'s documented order.
+
+    Rows stably by the total degree of x^a * g_i, columns by descending
+    grevlex (the reverse of monomials_up_to_degree).
+    """
+    totals = [
+        g.degree() + sum(mult)
+        for g in generators
+        if g.degree() <= M
+        for mult in monomials_up_to_degree(nvars, M - g.degree())
+    ]
+    order = sorted(range(len(totals)), key=totals.__getitem__)
+    return reference[order][:, ::-1]
+
+
 def assert_same_matrix(got, want):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     if got.dtype == object:
@@ -177,7 +193,40 @@ def test_macaulay_matrix_matches_term_by_term_fill(ideal, degrees):
     assert min(degrees) < max(g.degree() for g in gens)
     for M in degrees:
         got = macaulay._macaulay_matrix(gens, ring.nvars, M, ring.field)
-        assert_same_matrix(got, reference_macaulay(gens, ring.nvars, M, ring.field))
+        want = reference_macaulay(gens, ring.nvars, M, ring.field)
+        assert_same_matrix(got, in_elimination_order(gens, ring.nvars, M, want))
+
+
+def reference_rank(a, field):
+    if not a.size:
+        return 0
+    if isinstance(field, PrimeField):
+        return linalg.rank_mod_p(a, field.p)
+    return linalg.rank_over_field(a, field)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [cayley_ideal, quartic_ideal, rational_ideal],
+    ids=["cayley", "quartic(1,3)", "rational"],
+)
+def test_every_dimension_reads_off_one_pivot_list(ideal):
+    # dim(m, M) = n_low - rank A_M + rank A_M[:, deg > m] for every
+    # m <= M <= top, with A_M built on its own and ranked whole, against
+    # the count over the pivots of the one elimination of A_top
+    gens = ideal()
+    ring = gens[0].ring
+    n, field = ring.nvars, ring.field
+    top = 3 * max(g.degree() for g in gens) + 1
+    elimination = macaulay._Elimination(gens, n, field, top)
+    for M in range(top + 1):
+        a = reference_macaulay(gens, n, M, field)
+        rank_full = reference_rank(a, field)
+        for m in range(M + 1):
+            n_low = len(monomials_up_to_degree(n, m))
+            want = n_low - rank_full + reference_rank(a[:, n_low:], field)
+            assert elimination.dimension(m, M) == want, (m, M)
+    assert elimination.top == top
 
 
 def test_monomial_arrays_follow_the_monomial_lists():
@@ -206,32 +255,35 @@ def test_shift_positions_uses_python_int_codes_when_int64_would_overflow():
             assert positions[s, k] == index[tuple(a + b for a, b in zip(mono, shift))]
 
 
-# -- the rank calls stay where the benchmark's spans look for them ---------
+# -- the kernel calls stay where the benchmark's spans look for them -------
 
 
 def test_rank_calls_go_through_the_callers_module_globals(monkeypatch):
+    # cohomology ranks through its own rank_mod_p; macaulay eliminates
+    # once, through its own pivots_mod_p
     calls = {"cohomology": 0, "macaulay": 0}
 
-    def counting(name, rank):
+    def counting(name, kernel):
         def counted(a, p):
             calls[name] += 1
-            return rank(a, p)
+            return kernel(a, p)
 
         return counted
 
     def refuse(a, p):
-        raise AssertionError("rank reached through the linalg module global")
+        raise AssertionError("kernel reached through the linalg module global")
 
     monkeypatch.setattr(cohomology, "rank_mod_p", counting("cohomology", cohomology.rank_mod_p))
-    monkeypatch.setattr(macaulay, "rank_mod_p", counting("macaulay", macaulay.rank_mod_p))
+    monkeypatch.setattr(macaulay, "pivots_mod_p", counting("macaulay", macaulay.pivots_mod_p))
     monkeypatch.setattr(linalg, "rank_mod_p", refuse)
+    monkeypatch.setattr(linalg, "pivots_mod_p", refuse)
     pres = presentations(4, 0, (2, 2), F)[1]
     assert hilbert_function_coker(pres, 3) == 10
     assert calls == {"cohomology": 1, "macaulay": 0}
     spec = surface_from_matrix(type_matrix(4, 0, (2, 2), F, 1))
     chart = random_invertible_matrix(F, 4, 1, "chart-a")
     assert macaulay_colength(list(affine_jacobian_ideal(spec, chart).generators)) == 8
-    assert calls == {"cohomology": 1, "macaulay": 5}
+    assert calls == {"cohomology": 1, "macaulay": 1}
 
 
 # -- the CLI decides duality on the table it prints ---------------------------

@@ -178,8 +178,8 @@ def random_matrix(seed, rows, cols, rank, p, density=1.0):
 def check_against_reference(rows, p):
     _, want_pivots = rref_reference(rows, p)
     assert rank_mod_p(rows, p) == len(want_pivots)
-    # the panels find their pivots out of order, but the set is the RREF's
-    assert sorted(linalg._forward_chain(rows, p)[0]) == want_pivots
+    # the panels find their pivot columns out of order, but the set is the RREF's
+    assert sorted(j for _, j in linalg._forward_chain(rows, p)[0]) == want_pivots
 
 
 shape_cases = st.tuples(
@@ -267,6 +267,83 @@ def test_forward_chain_on_both_sides_of_float_bound(seed, p):
     _, chain = linalg._forward_chain(matrix, p)
     assert len(chain) == 2
     check_against_reference(matrix, p)
+
+
+# -- the pivot list gives the rank of every leading submatrix -------------
+
+
+def column_profile_reference(rows, p=None):
+    """Pivot columns of textbook column-by-column forward elimination.
+
+    Over F_p, or over Q when p is None.  The elimination of the first C
+    columns is that of rows[:, :C], so the pivots below C number its rank.
+    """
+    m = [[Fraction(v) if p is None else v % p for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    out = []
+    for col in range(ncols):
+        r = len(out)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r][col:]
+        inv = 1 / top[0] if p is None else pow(top[0], -1, p)
+        for i in range(r + 1, len(m)):
+            if m[i][col]:
+                f = m[i][col] * inv
+                tail = [a - f * b for a, b in zip(m[i][col:], top)]
+                m[i][col:] = tail if p is None else [v % p for v in tail]
+        out.append(col)
+    return out
+
+
+def planted_rank_matrix(seed, rows, cols, rank, zero_cols, field):
+    """A product through `rank` columns, with `zero_cols` columns zeroed.
+
+    Entries are residues over F_p and small integers over Q.
+    """
+    rng = random.Random(seed)
+    low, high = (0, field.p) if isinstance(field, PrimeField) else (-3, 4)
+    left = [[rng.randrange(low, high) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(low, high) for _ in range(cols)] for _ in range(rank)]
+    zero = set(rng.sample(range(cols), zero_cols))
+    return [
+        [0 if j in zero else field.normalize(sum(x * y[j] for x, y in zip(row, right)))
+         for j in range(cols)]
+        for row in left
+    ]
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(31991), PrimeField(2**61 - 1), QQ], ids=["float64", "object", "Q"]
+)
+@settings(max_examples=4, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2 * PANEL_ROWS + 1, max_value=200),
+    st.data(),
+)
+def test_pivots_count_the_rank_of_every_leading_submatrix(field, seed, rows, data):
+    # rank < cols leaves a free column, so all three or more panels run
+    prime = isinstance(field, PrimeField)
+    cols = data.draw(st.integers(min_value=66, max_value=80) if prime else st.integers(4, 16))
+    rank = data.draw(st.integers(min_value=1, max_value=cols - 1))
+    zero_cols = data.draw(st.integers(min_value=0, max_value=min(5, cols - 1)))
+    matrix = planted_rank_matrix(seed, rows, cols, rank, zero_cols, field)
+    pivots = linalg.pivots_det_over_field(matrix, field)[0]
+    assert rank_over_field(matrix, field) == len(pivots)
+    if prime:
+        # the blocked kernel finds the same pairs as the plain elimination
+        assert linalg.pivots_mod_p(matrix, field.p) == pivots
+        assert rank_mod_p(matrix, field.p) == len(pivots)
+    cuts = {0, 1, PANEL_ROWS, PANEL_ROWS + 1, 2 * PANEL_ROWS, rows}
+    cuts.add(random.Random(seed).randrange(rows))
+    for r in sorted(cuts):
+        profile = column_profile_reference(matrix[:r], field.p if prime else None)
+        for c in range(cols + 1):
+            want = sum(j < c for j in profile)
+            assert sum(i < r and j < c for i, j in pivots) == want, (r, c)
 
 
 def test_rank_exact_for_primes_near_two_to_the_61():

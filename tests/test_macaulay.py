@@ -42,6 +42,12 @@ def test_split_points():
     assert macaulay_colength(polys(R2, "x0^2 - 1", "x1^2 - 4")) == 4
 
 
+def test_split_points_at_a_prime_near_two_to_the_61():
+    # the elimination runs on object arrays of Python ints here
+    ring = Ring(2, PrimeField(2**61 - 1))
+    assert macaulay_colength(polys(ring, "x0^2 - 1", "x1^2 - 4")) == 4
+
+
 def test_fat_point():
     # the square of the maximal ideal has colength 3 in two variables
     assert macaulay_colength(polys(R2, "x0^2", "x0*x1", "x1^2")) == 3
@@ -106,24 +112,48 @@ def test_bezout_for_shifted_powers(a, b, c):
     assert macaulay_colength(gens) == a * b
 
 
-def test_each_certificate_matrix_is_built_and_ranked_once(monkeypatch):
-    # quartic (2,2) symmetroid: degree-3 Jacobian generators, degree cap 9.
-    # The measurements (8, 8), (8, 9), (9, 9), (9, 10) need the full ranks
-    # of A_8, A_9, A_10 and the high-degree ranks of A_9 and A_10: five.
+def count_eliminations(monkeypatch):
+    """Record the degree M of each A_M built and the shape of each elimination."""
+    built, shapes = [], []
+    build, kernel = macaulay._macaulay_matrix, macaulay.pivots_mod_p
+
+    def counting_build(generators, nvars, M, field):
+        built.append(M)
+        return build(generators, nvars, M, field)
+
+    def counting_kernel(a, p):
+        shapes.append(a.shape)
+        return kernel(a, p)
+
+    monkeypatch.setattr(macaulay, "_macaulay_matrix", counting_build)
+    monkeypatch.setattr(macaulay, "pivots_mod_p", counting_kernel)
+    return built, shapes
+
+
+def test_a_settled_call_builds_and_eliminates_one_matrix(monkeypatch):
+    # quartic (2,2) symmetroid: the quartic and its four cubic partials in
+    # three variables, degree cap 12.  The measurements (11, 11), (11, 12),
+    # (12, 12), (12, 13) all read off the pivots of A_13:
+    # C(12, 3) + 4 * C(13, 3) rows x^a * g_i over the C(16, 3) monomials
+    # of degree <= 13.
     spec = surface_from_matrix(type_matrix(4, 0, (2, 2), F, 1))
     chart = random_invertible_matrix(F, 4, 1, "chart-a")
     generators = list(affine_jacobian_ideal(spec, chart).generators)
-    shapes = []
-    rank = macaulay.rank_mod_p
-
-    def counting_rank(a, p):
-        shapes.append(a.shape)
-        return rank(a, p)
-
-    monkeypatch.setattr(macaulay, "rank_mod_p", counting_rank)
+    assert [g.degree() for g in generators] == [4, 3, 3, 3, 3]
+    built, shapes = count_eliminations(monkeypatch)
     assert macaulay_colength(generators) == 8
+    assert built == [13]
+    assert shapes == [(220 + 4 * 286, 560)]
+
+
+def test_an_unsettled_call_re_eliminates_at_each_higher_degree(monkeypatch):
+    # (x0*x1) is not zero-dimensional: every measurement settles at once
+    # but never agrees with the one before, so each step of the cap needs
+    # A one degree higher, from cap + 1 = 7 up to 11
+    built, shapes = count_eliminations(monkeypatch)
+    assert macaulay_colength(polys(R2, "x0*x1")) is None
+    assert built == [7, 8, 9, 10, 11]
     assert len(shapes) == 5
-    assert len(set(shapes)) == 5
 
 
 def _package_imports(module: str) -> "set[str]":
