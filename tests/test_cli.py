@@ -4,6 +4,7 @@ Everything drives main(argv) in-process and captures stdout/stderr, so
 the suite exercises exactly what a shell user would see.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -301,6 +302,55 @@ def test_cohomology_json_rows(tmp_path, capsys):
     assert by_m[1]["h0"] == 2
     assert by_m[0]["h1"] == 2
     assert by_m[0]["chi"] == -2
+
+
+# sha256 of `cohomology --format json --m-min -2 --m-max 5 --seed 1` on the
+# seed-1 matrix of each manifest degree type: (section, surface).  The
+# report names no field, and both fields give the same table.
+PINNED_COHOMOLOGY_JSON = {
+    ("(2,2)", 4, 0): (
+        "fd85b3bc98ada9dc920342d8d9607e4ad6c53e8269a58d306fcfd54d7624fdef",
+        "4f0c3cbd5269ba399ff580a236db227e3cfe04b7e2742dbf98a96a60c3567603",
+    ),
+    ("(1,3)", 4, 1): (
+        "ce00efae887d8059314bace0b34fc2906c529f27d52f1bb0e6004cb45c928034",
+        "ad40b9bc3a173b4653cbf3f687e0daef47a02909dcdba800904d8e7940304c9f",
+    ),
+    ("(1,1,1,1)", 4, 1): (
+        "d7a38283b764374d81a84efd1128583c426472ec89a6ff76ec2d96ca240673a4",
+        "1a71bf202b3721ae1d154f344b777aa47034abce53e6fb76407dadd99ef23f6e",
+    ),
+    ("(1,1,3)", 5, 0): (
+        "85ec8061e76fd885731f15f903b11b22b569358c1737eb339cbd123f2aff2484",
+        "b0d700bf95dcfa0a39f8f3c8ee4fd4dce6ca5ead57dfcbf1c7cefe82f7acf4d2",
+    ),
+    ("(1,1,1,1,1)", 5, 0): (
+        "4747defcf0654b9011e544a7953406002eb4cf66cf035041fd01e9cf875df1e4",
+        "acabc83182c0ec27e577caee9d0390061080e7d0f2d9f637afc1557d4878ba44",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", ["fp:31991", "q"])
+@pytest.mark.parametrize("mode", ["section", "surface"])
+@pytest.mark.parametrize("spec", list(PINNED_COHOMOLOGY_JSON), ids=lambda s: s[0])
+def test_cohomology_json_report_is_pinned(tmp_path, capsys, spec, mode, field):
+    type_str, d, delta = spec
+    matrix_file = tmp_path / "matrix.json"
+    assert main([
+        "build", "--type", type_str, "--d", str(d), "--delta", str(delta),
+        "--field", field, "--seed", "1", "--out", str(matrix_file),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    code, out, _ = run(
+        capsys,
+        "cohomology", str(matrix_file), "--mode", mode, "--format", "json",
+        "--m-min", "-2", "--m-max", "5", "--seed", "1",
+    )
+    assert code == EXIT_OK
+    section, surface = PINNED_COHOMOLOGY_JSON[spec]
+    want = section if mode == "section" else surface
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_cohomology_surface_chi_check(tmp_path, capsys):
