@@ -53,7 +53,6 @@ from .enumeration import (
 )
 from .cohomology import (
     CohomologyTable,
-    GradedPresentation,
     check_chi_node_formula,
     chi_from_resolution,
     cohomology_table,

@@ -17,6 +17,11 @@ exact on global sections in every twist.  Two exact quantities follow:
   integer (this is the sheaf Euler characteristic, negative twists
   included).
 
+A presentation is the `SymmetricFormMatrix` itself: on P^3 for the
+surface, and on P^2 for a plane section, which
+`plane_section_presentation` cuts with one 4 x 3 linear change of the
+coordinates.  Every function below takes the matrix.
+
 The block matrix is assembled with numpy.  The monomial bases of the
 graded pieces are the memoized arrays of `polynomials.monomial_array`,
 and each nonzero block (i, j) takes one `shift_positions` lookup
@@ -45,63 +50,32 @@ from .fields import PrimeField
 from .linalg import rank_mod_p, rank_over_field
 from .matrices import DegreeType, SymmetricFormMatrix
 from .nodes import NodeReport
-from .polynomials import Polynomial, Ring, monomial_array, shift_positions
+from .polynomials import monomial_array, shift_positions
 from .randomness import element_stream
 
 
 class PresentationError(ValueError):
-    """Entries incompatible with the graded shape of the presentation."""
+    """A cohomology table that no presentation can have (a negative h1)."""
 
 
 class RangeTooSmallError(ValueError):
     """The twist range contains no dual pair to test."""
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
-    """A symmetric matrix viewed as a graded presentation of its cokernel."""
-
-    degree_type: DegreeType
-    ring: Ring
-    entries: "tuple[tuple[Polynomial, ...], ...]"
-
-    def __post_init__(self):
-        dt = self.degree_type
-        h = dt.h
-        if self.ring.nvars not in (3, 4):
-            raise PresentationError("presentations live on P^3 or a plane P^2")
-        if len(self.entries) != h or any(len(r) != h for r in self.entries):
-            raise PresentationError(f"expected a {h} x {h} matrix")
-        r = dt.target_twists
-        l = dt.source_twists
-        for i in range(h):
-            for j in range(h):
-                e = self.entries[i][j]
-                if e.ring != self.ring:
-                    raise PresentationError("entry ring mismatch")
-                if e and (not e.is_homogeneous() or e.homogeneous_degree() != l[j] - r[i]):
-                    raise PresentationError(
-                        f"entry ({i}, {j}) must be homogeneous of degree {l[j] - r[i]}"
-                    )
-
-    @property
-    def n(self) -> int:
-        """Number of homogeneous variables of the ambient space."""
-        return self.ring.nvars
-
-
-def surface_presentation(matrix: SymmetricFormMatrix) -> GradedPresentation:
-    return GradedPresentation(matrix.degree_type, matrix.ring, matrix.entries)
+def surface_presentation(matrix: SymmetricFormMatrix) -> SymmetricFormMatrix:
+    """The presentation on P^3: the matrix itself."""
+    return matrix
 
 
 def plane_section_presentation(
     matrix: SymmetricFormMatrix, seed: int
-) -> GradedPresentation:
-    """Restrict the presentation to a seeded random plane.
+) -> SymmetricFormMatrix:
+    """Restrict the presentation to a seeded random plane H = {h = 0}.
 
-    The plane is a0 x0 + ... + a3 x3 = 0 with hash-derived coefficients;
-    draws with a3 = 0 are skipped so x3 can be eliminated.  The result
-    lives on P^2 with the same twists.
+    h = a0 x0 + ... + a3 x3 with hash-derived coefficients; draws with
+    a3 = 0 are skipped, so that x_i -> x_i for i < 3 and
+    x3 -> -(a0 x0 + a1 x1 + a2 x2)/a3 parametrize H.  The result lives on
+    P^2 with the same twists.
     """
     field = matrix.field
     stream = element_stream(field, seed, "plane")
@@ -109,21 +83,10 @@ def plane_section_presentation(
         coeffs = [next(stream) for _ in range(4)]
         if coeffs[3]:
             break
-    ring3 = Ring(3, field)
     scale = field.neg(field.inv(coeffs[3]))
-    replacement = Polynomial.from_terms(
-        ring3,
-        {
-            (1, 0, 0): field.mul(coeffs[0], scale),
-            (0, 1, 0): field.mul(coeffs[1], scale),
-            (0, 0, 1): field.mul(coeffs[2], scale),
-        },
-    )
-    rows = tuple(
-        tuple(e.eliminate_variable(3, replacement) for e in row)
-        for row in matrix.entries
-    )
-    return GradedPresentation(matrix.degree_type, ring3, rows)
+    section = [[field.one if i == j else field.zero for j in range(3)] for i in range(3)]
+    section.append([field.mul(c, scale) for c in coeffs[:3]])
+    return matrix.linear_change(section)
 
 
 def graded_piece_dimension(nvars: int, degree: int) -> int:
@@ -145,23 +108,23 @@ def hilbert_polynomial_value(n: int, a: int) -> int:
     raise ValueError("ambient must be P^3 (n=4) or P^2 (n=3)")
 
 
-def hilbert_function_coker(pres: GradedPresentation, m: int) -> int:
+def hilbert_function_coker(matrix: SymmetricFormMatrix, m: int) -> int:
     """dim of the degree-m piece of coker(phi): target dims minus rank."""
-    matrix = _degree_piece_matrix(pres, m)
-    total_rows, total_cols = matrix.shape
+    piece = _degree_piece_matrix(matrix, m)
+    total_rows, total_cols = piece.shape
     if total_rows == 0:
         return 0
     if total_cols == 0:
         return total_rows
-    field = pres.ring.field
+    field = matrix.field
     if isinstance(field, PrimeField):
-        rank = rank_mod_p(matrix, field.p)
+        rank = rank_mod_p(piece, field.p)
     else:
-        rank = rank_over_field(matrix, field)
+        rank = rank_over_field(piece, field)
     return total_rows - rank
 
 
-def _degree_piece_matrix(pres: GradedPresentation, m: int) -> np.ndarray:
+def _degree_piece_matrix(matrix: SymmetricFormMatrix, m: int) -> np.ndarray:
     """phi in degree m, as a block matrix over the graded monomial bases.
 
     Row block i holds the degree m - r_i monomials and column block j
@@ -170,15 +133,15 @@ def _degree_piece_matrix(pres: GradedPresentation, m: int) -> np.ndarray:
     lookup and one scatter.  Prime-field entries are int64, rational
     ones Fractions in an object array (zeros are the int 0).
     """
-    dt = pres.degree_type
-    n = pres.n
+    dt = matrix.degree_type
+    n = matrix.ring.nvars
     row_degrees = [m - ri for ri in dt.target_twists]
     col_blocks = [monomial_array(n, m - lj) for lj in dt.source_twists]
     row_offsets = [0]
     for degree in row_degrees:
         row_offsets.append(row_offsets[-1] + graded_piece_dimension(n, degree))
-    dtype = np.int64 if isinstance(pres.ring.field, PrimeField) else object
-    matrix = np.zeros((row_offsets[-1], sum(len(b) for b in col_blocks)), dtype=dtype)
+    dtype = np.int64 if isinstance(matrix.field, PrimeField) else object
+    piece = np.zeros((row_offsets[-1], sum(len(b) for b in col_blocks)), dtype=dtype)
     col = 0
     for j, shifts in enumerate(col_blocks):
         cols = np.arange(col, col + len(shifts))
@@ -186,17 +149,17 @@ def _degree_piece_matrix(pres: GradedPresentation, m: int) -> np.ndarray:
         if not len(shifts):
             continue
         for i, degree in enumerate(row_degrees):
-            entry = pres.entries[i][j]
+            entry = matrix.entries[i][j]
             if entry:
                 positions, coefficients = shift_positions(entry, shifts, degree)
-                matrix[row_offsets[i] + positions, cols] = coefficients[:, None]
-    return matrix
+                piece[row_offsets[i] + positions, cols] = coefficients[:, None]
+    return piece
 
 
-def chi_from_resolution(pres: GradedPresentation, m: int) -> int:
+def chi_from_resolution(matrix: SymmetricFormMatrix, m: int) -> int:
     """chi(coker(phi)(m)) from the split resolution, exact for every m."""
-    dt = pres.degree_type
-    n = pres.n
+    dt = matrix.degree_type
+    n = matrix.ring.nvars
     total = 0
     for ri in dt.target_twists:
         total += hilbert_polynomial_value(n, m - ri)
@@ -245,7 +208,7 @@ class CohomologyTable:
         return "\n".join(lines)
 
 
-def cohomology_table(pres: GradedPresentation, m_range) -> CohomologyTable:
+def cohomology_table(matrix: SymmetricFormMatrix, m_range) -> CohomologyTable:
     """The (h0, h1, chi) table over the twist range.
 
     On a curve (n = 3) h1 = h0 - chi and must be nonnegative; a negative
@@ -253,10 +216,10 @@ def cohomology_table(pres: GradedPresentation, m_range) -> CohomologyTable:
     surface (n = 4) only h0 and chi are exposed; h1 is None.
     """
     rows = []
-    curve = pres.n == 3
+    curve = matrix.ring.nvars == 3
     for m in m_range:
-        h0 = hilbert_function_coker(pres, m)
-        chi = chi_from_resolution(pres, m)
+        h0 = hilbert_function_coker(matrix, m)
+        chi = chi_from_resolution(matrix, m)
         h1 = None
         if curve:
             h1 = h0 - chi
@@ -265,10 +228,10 @@ def cohomology_table(pres: GradedPresentation, m_range) -> CohomologyTable:
                     f"h1({m}) = {h1} < 0: presentation is inconsistent"
                 )
         rows.append(CohomologyRow(m, h0, h1, chi))
-    return CohomologyTable(pres.degree_type, pres.n, tuple(rows))
+    return CohomologyTable(matrix.degree_type, matrix.ring.nvars, tuple(rows))
 
 
-def duality_symmetry_check(pres: GradedPresentation, m_range) -> bool:
+def duality_symmetry_check(matrix: SymmetricFormMatrix, m_range) -> bool:
     """Serre-duality symmetry h1(m) == h0(d - 3 + delta - m) on a curve.
 
     Computes the table over the range and decides with
@@ -276,8 +239,8 @@ def duality_symmetry_check(pres: GradedPresentation, m_range) -> bool:
     computed.
     """
     ms = sorted(set(m_range))
-    _dual_pairs(pres.degree_type, pres.n, ms)
-    return table_duality_symmetry(cohomology_table(pres, ms))
+    _dual_pairs(matrix.degree_type, matrix.ring.nvars, ms)
+    return table_duality_symmetry(cohomology_table(matrix, ms))
 
 
 def table_duality_symmetry(table: CohomologyTable) -> bool:
@@ -304,10 +267,10 @@ def _dual_pairs(dt: DegreeType, n: int, ms) -> "list[tuple[int, int]]":
     return pairs
 
 
-def check_chi_node_formula(pres: GradedPresentation, report: NodeReport) -> bool:
+def check_chi_node_formula(matrix: SymmetricFormMatrix, report: NodeReport) -> bool:
     """chi(coker) == (8 - t)/4 for quartic surfaces, exact arithmetic."""
-    dt = pres.degree_type
+    dt = matrix.degree_type
     if dt.d != 4:
         raise ValueError("the node formula applies to quartic surfaces")
-    chi = chi_from_resolution(pres, 0)
+    chi = chi_from_resolution(matrix, 0)
     return Fraction(chi) == Fraction(8 - report.t, 4)

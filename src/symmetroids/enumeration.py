@@ -31,12 +31,6 @@ CONSTRAINT_NAMES = (
     "smooth_plane_section",
 )
 
-_PAIRING_SHIFTS = {
-    "determinant_nonzero": 1,
-    "determinant_squarefree": 0,
-    "smooth_plane_section": -1,
-}
-
 
 @dataclass(frozen=True)
 class ConstraintProfile:
@@ -78,11 +72,6 @@ class ConstraintProfile:
         return tuple(n for n in CONSTRAINT_NAMES if getattr(self, n))
 
 
-def _passes(dt: DegreeType, profile: ConstraintProfile) -> bool:
-    flags = dt.constraint_flags()
-    return all(flags[name] for name in profile.enabled())
-
-
 def enumerate_degree_types(
     d: int, delta: int, profile: "ConstraintProfile | None" = None
 ) -> "list[DegreeType]":
@@ -107,7 +96,8 @@ def enumerate_degree_types(
                 dt = DegreeType(d, delta, degrees)
             except DegreeTypeError:
                 continue
-            if _passes(dt, profile):
+            flags = dt.constraint_flags()
+            if all(flags[name] for name in profile.enabled()):
                 found.append(dt)
     found.sort(key=lambda t: (t.h, t.degrees))
     return found
@@ -147,7 +137,6 @@ def explain_rejection(d: int, delta: int, degrees) -> "list[tuple[str, int]]":
     problems: "list[tuple[str, int]]" = []
     if not degrees:
         return [("empty", 0)]
-    h = len(degrees)
     for i, (a, b) in enumerate(zip(degrees, degrees[1:]), start=1):
         if a > b:
             problems.append(("not_nondecreasing", i + 1))
@@ -159,15 +148,5 @@ def explain_rejection(d: int, delta: int, degrees) -> "list[tuple[str, int]]":
         problems.append(("sum", 0))
     if problems:
         return problems
-    dt = DegreeType(d, delta, degrees)
-    for name, shift in _PAIRING_SHIFTS.items():
-        for i in range(1, h + 1):
-            j = h + shift - i
-            if 1 <= j <= h and degrees[i - 1] + degrees[j - 1] <= 0:
-                problems.append((name, i))
-                break
-    for i, r in enumerate(dt.target_twists, start=1):
-        if r <= 0:
-            problems.append(("twist_positive", i))
-            break
-    return sorted(problems, key=lambda kv: (CONSTRAINT_NAMES.index(kv[0]) if kv[0] in CONSTRAINT_NAMES else -1, kv[1]))
+    failures = DegreeType(d, delta, degrees).constraint_failures()
+    return [(name, i) for name, i in failures.items() if i is not None]

@@ -25,6 +25,7 @@ import heapq
 import math
 import os
 from collections import deque
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -313,17 +314,22 @@ class GroebnerBasis:
         out = _normal_form_raw(poly.terms, self._raw, self.ring.field, self._key_cache)
         return Polynomial(self.ring, out)
 
-    def quotient_monomials(self) -> "list[tuple[int, ...]] | None":
+    def quotient_monomials(self) -> "tuple[tuple[int, ...], ...] | None":
         """The staircase basis of the quotient, or None when infinite.
 
         Finiteness is the classical test: every variable must carry a
-        pure-power leading monomial.
+        pure-power leading monomial.  The staircase is enumerated once
+        per basis and shared by every caller, hence a tuple.
         """
+        return self._staircase
+
+    @cached_property
+    def _staircase(self) -> "tuple[tuple[int, ...], ...] | None":
         lms = self.lead_monomials()
         if not lms:
             return None
         if any(not any(lm) for lm in lms):
-            return []
+            return ()
         n = self.ring.nvars
         caps = []
         for i in range(n):
@@ -347,7 +353,7 @@ class GroebnerBasis:
             for e in range(caps[i]):
                 stack.append((i + 1, prefix + (e,)))
         out.sort(key=grevlex_key)
-        return out
+        return tuple(out)
 
     def colength(self):
         """Vector-space dimension of the quotient; math.inf when infinite."""

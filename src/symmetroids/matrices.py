@@ -1,4 +1,4 @@
-"""Symmetric matrices of homogeneous forms on P^3 and their degree types.
+"""Symmetric matrices of homogeneous forms on P^3 or P^2 and their degree types.
 
 A degree type is a nondecreasing integer tuple (d_1, ..., d_h) together
 with a surface degree d and a parity bit delta in {0, 1}, subject to
@@ -25,6 +25,10 @@ type recur everywhere downstream:
 
 Pairing constraints are vacuous at indices whose partner falls outside
 1..h.
+
+`SymmetricFormMatrix.linear_change` moves a matrix on P^3 to a chart of
+P^3 (an invertible 4 x 4 map) or restricts it to a plane P^2 (a 4 x 3
+map of rank 3); the degree type stays.
 """
 
 from __future__ import annotations
@@ -97,25 +101,28 @@ class DegreeType:
         """Degree of entry (i, j); negative values force the zero entry."""
         return (self.degrees[i] + self.degrees[j]) // 2
 
-    def pairing_holds(self, shift: int) -> bool:
-        """d_i + d_{h+shift-i} > 0 for all i where the partner index exists."""
+    def pairing_failure(self, shift: int) -> "int | None":
+        """The first 1-based i with d_i + d_{h+shift-i} <= 0 (partner in 1..h), or None."""
         h = self.h
         for i in range(1, h + 1):
             j = h + shift - i
             if 1 <= j <= h and self.degrees[i - 1] + self.degrees[j - 1] <= 0:
-                return False
-        return True
+                return i
+        return None
 
-    def twist_positive(self) -> bool:
-        return all(r > 0 for r in self.target_twists)
+    def constraint_failures(self) -> "dict[str, int | None]":
+        """Per named constraint (in the order above), its first failing 1-based index or None."""
+        return {
+            "determinant_nonzero": self.pairing_failure(1),
+            "determinant_squarefree": self.pairing_failure(0),
+            "twist_positive": next(
+                (i for i, r in enumerate(self.target_twists, start=1) if r <= 0), None
+            ),
+            "smooth_plane_section": self.pairing_failure(-1),
+        }
 
     def constraint_flags(self) -> "dict[str, bool]":
-        return {
-            "determinant_nonzero": self.pairing_holds(1),
-            "determinant_squarefree": self.pairing_holds(0),
-            "twist_positive": self.twist_positive(),
-            "smooth_plane_section": self.pairing_holds(-1),
-        }
+        return {name: i is None for name, i in self.constraint_failures().items()}
 
     def __str__(self) -> str:
         body = ",".join(str(v) for v in self.degrees)
@@ -159,8 +166,8 @@ class SymmetricFormMatrix:
     def __post_init__(self):
         dt = self.degree_type
         h = dt.h
-        if self.ring.nvars != AMBIENT_VARS:
-            raise ValueError("matrices of forms live in 4 homogeneous variables")
+        if self.ring.nvars not in (3, AMBIENT_VARS):
+            raise ValueError("matrices of forms live on P^3 or a plane P^2")
         if len(self.entries) != h or any(len(row) != h for row in self.entries):
             raise ValueError(f"expected a {h} x {h} matrix")
         for i in range(h):
@@ -189,10 +196,30 @@ class SymmetricFormMatrix:
     def field(self) -> Field:
         return self.ring.field
 
+    def linear_change(self, transform) -> "SymmetricFormMatrix":
+        """phi(A y): each entry through `Polynomial.linear_change(A)`.
+
+        The upper triangle is moved and mirrored down.  A has one row per
+        variable and full column rank k; the result lives in Ring(k, field).
+        """
+        return SymmetricFormMatrix.from_upper_triangle(
+            self.degree_type, lambda i, j: self.entries[i][j].linear_change(transform)
+        )
+
     @classmethod
     def from_rows(cls, degree_type: DegreeType, ring: Ring, rows) -> "SymmetricFormMatrix":
         entries = tuple(tuple(row) for row in rows)
         return cls(degree_type, ring, entries)
+
+    @classmethod
+    def from_upper_triangle(cls, degree_type: DegreeType, entry) -> "SymmetricFormMatrix":
+        """Entry (i, j) is entry(i, j) for i <= j, mirrored down; the ring is the entries'."""
+        h = degree_type.h
+        grid = [[None] * h for _ in range(h)]
+        for i in range(h):
+            for j in range(i, h):
+                grid[i][j] = grid[j][i] = entry(i, j)
+        return cls.from_rows(degree_type, grid[0][0].ring, grid)
 
     @classmethod
     def random(cls, degree_type: DegreeType, field: Field, seed: int) -> "SymmetricFormMatrix":
@@ -202,15 +229,12 @@ class SymmetricFormMatrix:
         tagged ("entry", i, j), so matrices are reproducible per seed.
         """
         ring = ambient_ring(field)
-        h = degree_type.h
-        grid = [[None] * h for _ in range(h)]
-        for i in range(h):
-            for j in range(i, h):
-                deg = degree_type.entry_degree(i, j)
-                poly = random_form(ring, deg, seed, "entry", str(i), str(j))
-                grid[i][j] = poly
-                grid[j][i] = poly
-        return cls.from_rows(degree_type, ring, grid)
+        return cls.from_upper_triangle(
+            degree_type,
+            lambda i, j: random_form(
+                ring, degree_type.entry_degree(i, j), seed, "entry", str(i), str(j)
+            ),
+        )
 
 
 def _det_with_memo(rows: "list[list[Polynomial]]", ring: Ring) -> Polynomial:
@@ -372,13 +396,9 @@ def matrix_from_json_dict(obj: dict) -> SymmetricFormMatrix:
     h = dt.h
     if len(raw) != h or any(len(row) != h for row in raw):
         raise ValueError(f"expected a {h} x {h} entries grid")
-    grid = [[None] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(i, h):
-            poly = parse_polynomial(raw[i][j], ring)
-            grid[i][j] = poly
-            grid[j][i] = poly
-    return SymmetricFormMatrix.from_rows(dt, ring, grid)
+    return SymmetricFormMatrix.from_upper_triangle(
+        dt, lambda i, j: parse_polynomial(raw[i][j], ring)
+    )
 
 
 def dump_json_bytes(obj: dict) -> bytes:

@@ -156,14 +156,7 @@ def rank_drop_check(
         raise UnsupportedFieldError("rank-drop checks run over a prime field")
     transform = random_invertible_matrix(field, AMBIENT_VARS, report.seed, "chart-a")
     # Change coordinates once on the low-degree entries, not on each minor.
-    h = matrix.h
-    grid = [[None] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(i, h):
-            e = matrix.entries[i][j]
-            grid[i][j] = grid[j][i] = e.linear_change(transform) if e else e
-    moved = SymmetricFormMatrix.from_rows(matrix.degree_type, matrix.ring, grid)
-    minors = minors_ideal_generators(moved, h - 1)
+    minors = minors_ideal_generators(matrix.linear_change(transform), matrix.h - 1)
     ring3 = Ring(AMBIENT_VARS - 1, field)
     minors_ideal = Ideal(ring3, [m.dehomogenize(AMBIENT_VARS - 1) for m in minors])
     minors_basis = minors_ideal.groebner_basis(pair_budget=pair_budget)

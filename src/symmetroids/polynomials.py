@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import Coeff, Field, FieldError, RationalField
-from .linalg import det_over_field
+from .linalg import rank_over_field
 
 Monomial = "tuple[int, ...]"
 
@@ -187,13 +187,6 @@ class Polynomial:
         return cls(ring, {ring.zero_monomial(): c})
 
     @classmethod
-    def variable(cls, ring: Ring, index: int) -> "Polynomial":
-        if not 0 <= index < ring.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        mono = tuple(1 if i == index else 0 for i in range(ring.nvars))
-        return cls(ring, {mono: ring.field.one})
-
-    @classmethod
     def from_terms(cls, ring: Ring, items) -> "Polynomial":
         field = ring.field
         terms: dict = {}
@@ -296,19 +289,6 @@ class Polynomial:
         mul = field.mul
         return Polynomial(self.ring, {m: mul(cv, c) for m, cv in self.terms.items()})
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = Polynomial.constant(self.ring, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     # -- calculus and substitution ---------------------------------------
 
     def partial_derivative(self, index: int) -> "Polynomial":
@@ -350,46 +330,42 @@ class Polynomial:
         return total
 
     def linear_change(self, matrix) -> "Polynomial":
-        """The composite f(A x): substitute x_i -> sum_j A[i][j] x_j.
+        """The composite f(A y): substitute x_i -> sum_j A[i][j] y_j.
 
-        A must be square of size nvars and invertible over the field.
+        A is nvars x k with full column rank k, and the result lives in
+        Ring(k, field).  A square A is an invertible change of
+        coordinates; a 4 x 3 one parametrizes a plane of P^3.  Each
+        power of an image is computed once, by repeated squaring.
         """
-        ring = self.ring
-        field = ring.field
-        n = ring.nvars
+        field = self.ring.field
         rows = [[field.normalize(v) for v in row] for row in matrix]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        k = len(rows[0]) if rows else 0
+        if len(rows) != self.ring.nvars or k < 1 or any(len(r) != k for r in rows):
             raise ValueError("substitution matrix has wrong shape")
-        if not det_over_field(rows, field):
-            raise ValueError("substitution matrix is singular")
+        if rank_over_field(rows, field) != k:
+            raise ValueError("substitution matrix does not have full column rank")
+        target = Ring(k, field)
         images = [
             Polynomial.from_terms(
-                ring,
-                {
-                    tuple(1 if j == k else 0 for k in range(n)): rows[i][j]
-                    for j in range(n)
-                    if rows[i][j]
-                },
+                target,
+                {tuple(1 if j == l else 0 for l in range(k)): row[j] for j in range(k) if row[j]},
             )
-            for i in range(n)
+            for row in rows
         ]
-        return self.substitute(images)
-
-    def substitute(self, images: "Sequence[Polynomial]") -> "Polynomial":
-        """Apply the ring map x_i -> images[i] (all images in one ring)."""
-        if len(images) != self.ring.nvars:
-            raise ValueError("need one image per variable")
-        target = images[0].ring
-        for g in images:
-            if g.ring != target:
-                raise ValueError("substitution images live in different rings")
         powers: "list[dict[int, Polynomial]]" = [dict() for _ in images]
 
         def power(i: int, e: int) -> Polynomial:
             cache = powers[i]
             got = cache.get(e)
             if got is None:
-                got = images[i] ** e
+                got = Polynomial.constant(target, 1)
+                base = images[i]
+                rest = e
+                while rest:
+                    if rest & 1:
+                        got = got * base
+                    base = base * base if rest > 1 else base
+                    rest >>= 1
                 cache[e] = got
             return got
 
@@ -423,28 +399,6 @@ class Polynomial:
                 else:
                     del out[dm]
         return Polynomial(ring, out)
-
-    def eliminate_variable(self, index: int, replacement: "Polynomial") -> "Polynomial":
-        """Substitute x_index -> replacement and drop the variable.
-
-        The replacement lives in the (nvars-1)-variable ring obtained by
-        deleting slot `index`; the remaining variables map across in order.
-        """
-        n = self.ring.nvars
-        if not 0 <= index < n:
-            raise ValueError(f"variable index {index} out of range")
-        target = replacement.ring
-        if target.nvars != n - 1 or target.field != self.ring.field:
-            raise ValueError("replacement lives in the wrong ring")
-        images = []
-        k = 0
-        for i in range(n):
-            if i == index:
-                images.append(replacement)
-            else:
-                images.append(Polynomial.variable(target, k))
-                k += 1
-        return self.substitute(images)
 
     # -- text -----------------------------------------------------------
 

@@ -15,7 +15,6 @@ import pytest
 from symmetroids import cohomology, linalg, macaulay
 from symmetroids.cli import main
 from symmetroids.cohomology import (
-    GradedPresentation,
     hilbert_function_coker,
     plane_section_presentation,
     surface_presentation,
@@ -54,7 +53,7 @@ TYPES = [
 def reference_degree_piece(pres, m):
     """The block matrix of phi in degree m, filled one term at a time."""
     dt = pres.degree_type
-    n = pres.n
+    n = pres.ring.nvars
     row_monos = [monomials_of_degree(n, m - ri) for ri in dt.target_twists]
     col_monos = [monomials_of_degree(n, m - lj) for lj in dt.source_twists]
     total_rows = sum(len(b) for b in row_monos)
@@ -157,7 +156,7 @@ def test_degree_piece_matrix_with_zero_entries(field):
     entries = [list(row) for row in pres.entries]
     entries[0][1] = entries[1][0] = zero
     entries[2][2] = zero
-    pres = GradedPresentation(pres.degree_type, pres.ring, tuple(map(tuple, entries)))
+    pres = SymmetricFormMatrix.from_rows(pres.degree_type, pres.ring, entries)
     for m in range(-2, 5):
         got = cohomology._degree_piece_matrix(pres, m)
         assert_same_matrix(got, reference_degree_piece(pres, m))
@@ -245,7 +244,7 @@ def test_monomial_arrays_follow_the_monomial_lists():
 def test_shift_positions_uses_python_int_codes_when_int64_would_overflow():
     # 40 variables up to degree 2: the codes reach 2 * 3^40 > 2^63
     ring = Ring(40, F)
-    poly = Polynomial.variable(ring, 0) + Polynomial.variable(ring, 39).scale(5)
+    poly = parse_polynomial("x0 + 5*x39", ring)
     shifts = monomial_array(40, 1, up_to=True)
     positions, coefficients = shift_positions(poly, shifts, 2, up_to=True)
     index = {mono: k for k, mono in enumerate(monomials_up_to_degree(40, 2))}

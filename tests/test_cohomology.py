@@ -12,8 +12,6 @@ import pytest
 
 from symmetroids.cohomology import (
     CohomologyTable,
-    GradedPresentation,
-    PresentationError,
     RangeTooSmallError,
     check_chi_node_formula,
     chi_from_resolution,
@@ -75,14 +73,16 @@ def test_graded_piece_dimension_matches_polynomial():
 
 
 def test_surface_presentation_shape():
-    pres = surface_presentation(matrix_of(DegreeType(4, 0, (2, 2))))
-    assert pres.n == 4
+    matrix = matrix_of(DegreeType(4, 0, (2, 2)))
+    pres = surface_presentation(matrix)
+    assert pres is matrix
+    assert pres.ring.nvars == 4
     assert pres.degree_type.degrees == (2, 2)
 
 
 def test_section_presentation_shape():
     pres = plane_section_presentation(matrix_of(DegreeType(4, 0, (2, 2))), seed=1)
-    assert pres.n == 3
+    assert pres.ring.nvars == 3
 
 
 def test_presentation_validates_entry_degrees():
@@ -94,8 +94,8 @@ def test_presentation_validates_entry_degrees():
 
     bad_entries = list(list(row) for row in good.entries)
     bad_entries[0][0] = parse_polynomial("x0", ring)
-    with pytest.raises(PresentationError):
-        GradedPresentation(dt, ring, tuple(tuple(r) for r in bad_entries))
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        SymmetricFormMatrix.from_rows(dt, ring, bad_entries)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,20 @@ def test_quotient_monomials_structure():
     assert set(basis.quotient_monomials()) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
+def test_staircase_is_enumerated_once_per_basis_and_shared_as_a_tuple():
+    basis = ideal("x0^2 - 1", "x1^2 - 2", "x2^2 - 3").groebner_basis()
+    reads = []
+    lead_monomials = basis.lead_monomials
+    basis.lead_monomials = lambda: reads.append(1) or lead_monomials()
+    staircase = basis.quotient_monomials()
+    assert isinstance(staircase, tuple) and len(staircase) == 8
+    assert basis.colength() == 8
+    assert squarefree_certificate(basis, seed=1)
+    _, shared = multiplication_matrix(basis, poly("x0 + 2*x1 + 3*x2"))
+    assert shared is staircase and basis.quotient_monomials() is staircase
+    assert len(reads) == 1
+
+
 # ---------------------------------------------------------------------------
 # Radical membership
 

@@ -25,7 +25,8 @@ from symmetroids.matrices import (
     surface_to_json_dict,
 )
 from symmetroids.linalg import det_over_field
-from symmetroids.polynomials import Polynomial, parse_polynomial
+from symmetroids.polynomials import Polynomial, Ring, parse_polynomial
+from symmetroids.randomness import random_invertible_matrix
 
 F = PrimeField(31991)
 
@@ -81,12 +82,25 @@ def test_pairing_shifts():
     # shift s pairs index i with h + s - i; the shifted anti-diagonal sums
     # must stay positive for the corresponding determinant statement
     dt = DegreeType(4, 0, (0, 2, 2))
-    assert dt.pairing_holds(1)  # i=1 with j=3: 0 + 2 > 0
-    assert dt.pairing_holds(0)  # i=1 with j=2: 0 + 2 > 0
-    assert not dt.pairing_holds(-1)  # i=1 with j=1: 0 + 0 <= 0
+    assert dt.pairing_failure(1) is None  # i=1 with j=3: 0 + 2 > 0
+    assert dt.pairing_failure(0) is None  # i=1 with j=2: 0 + 2 > 0
+    assert dt.pairing_failure(-1) == 1  # i=1 with j=1: 0 + 0 <= 0
     dt = DegreeType(4, 0, (0, 4))
-    assert dt.pairing_holds(1)
-    assert not dt.pairing_holds(0)  # i=1 pairs with itself: 0 + 0 <= 0
+    assert dt.pairing_failure(1) is None
+    assert dt.pairing_failure(0) == 1  # i=1 pairs with itself: 0 + 0 <= 0
+
+
+def test_constraint_failures_give_the_first_failing_index():
+    dt = DegreeType(5, 0, (-1, 1, 5))
+    assert dt.constraint_failures() == {
+        "determinant_nonzero": None,
+        "determinant_squarefree": 1,  # i=1 with j=2: -1 + 1 <= 0
+        "twist_positive": 3,  # r_3 = (5 - 5)/2 = 0
+        "smooth_plane_section": 1,  # i=1 with j=1: -1 - 1 <= 0
+    }
+    assert dt.constraint_flags() == {
+        name: i is None for name, i in dt.constraint_failures().items()
+    }
 
 
 # --- matrices ----------------------------------------------------------
@@ -109,6 +123,36 @@ def test_zero_slots_for_negative_entry_degrees():
     m = SymmetricFormMatrix.random(dt, F, seed=1)
     assert not m.entries[0][0]
     assert m.entries[0][1].homogeneous_degree() == 1
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["F31991", "Q"])
+def test_linear_change_commutes_with_the_determinant(field):
+    # a ring map: det(phi(A y)) = det(phi)(A y), for a chart and for a plane
+    dt = DegreeType(5, 0, (-1, 1, 1, 1, 3))
+    m = SymmetricFormMatrix.random(dt, field, seed=2)
+    chart = random_invertible_matrix(field, 4, 2, "chart")
+    plane = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3, -2, 5]]
+    for transform, nvars in ((chart, 4), (plane, 3)):
+        moved = m.linear_change(transform)
+        assert moved.ring == Ring(nvars, field)
+        assert moved.degree_type == dt
+        assert not moved.entries[0][0]
+        for i in range(dt.h):
+            for j in range(dt.h):
+                assert moved.entries[i][j] == m.entries[i][j].linear_change(transform)
+        assert determinant(moved) == determinant(m).linear_change(transform)
+
+
+def test_matrices_live_on_p3_or_a_plane():
+    dt = DegreeType(4, 0, (2, 2))
+    for nvars in (3, 4):
+        ring = Ring(nvars, F)
+        q = parse_polynomial("x0^2 + x1*x2", ring)
+        SymmetricFormMatrix.from_rows(dt, ring, [[q, q], [q, q]])
+    ring = Ring(2, F)
+    q = parse_polynomial("x0^2 + x1^2", ring)
+    with pytest.raises(ValueError, match="P\\^3 or a plane"):
+        SymmetricFormMatrix.from_rows(dt, ring, [[q, q], [q, q]])
 
 
 def test_determinant_degree_and_symmetry_memo():

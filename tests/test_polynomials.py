@@ -103,15 +103,6 @@ def test_basic_arithmetic_and_cancellation():
     assert (-f) + f == Polynomial.zero(ring)
 
 
-def test_pow():
-    ring = Ring(2, F7)
-    f = poly("x0 + x1", ring)
-    assert f**7 == poly("x0^7 + x1^7", ring)  # Frobenius in char 7
-    assert f**0 == Polynomial.constant(ring, 1)
-    with pytest.raises(ValueError):
-        f ** (-1)
-
-
 def test_degree_and_homogeneity():
     ring = Ring(3, QQ)
     f = poly("x0^2*x1 + x2^3", ring)
@@ -129,7 +120,7 @@ def test_partial_derivative_and_euler_relation():
     d = f.homogeneous_degree()
     euler = Polynomial.zero(ring)
     for i in range(4):
-        euler = euler + Polynomial.variable(ring, i) * f.partial_derivative(i)
+        euler = euler + poly(f"x{i}", ring) * f.partial_derivative(i)
     assert euler == f.scale(Fraction(d))
 
 
@@ -149,6 +140,9 @@ def test_linear_change_composition_and_validation():
     assert g == poly("x0^2 + 2*x0*x1 + 2*x1^2", ring)
     with pytest.raises(ValueError):
         f.linear_change([[1, 1], [1, 1]])
+    # the identity map on a non-homogeneous polynomial over Q
+    h = poly("x0^2*x1 - x2^3 + 4", Ring(3, QQ))
+    assert h.linear_change([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == h
 
 
 def test_dehomogenize_and_eliminate():
@@ -158,18 +152,12 @@ def test_dehomogenize_and_eliminate():
     ring3 = aff.ring
     assert ring3.nvars == 3
     assert aff == poly("x0^2 + x1*x2 + 1", ring3)
-    # eliminating x3 by x3 -> -(x0 + x1) keeps homogeneity
-    repl = poly("-1*x0 - x1", ring3)
-    cut = f.eliminate_variable(3, repl)
+    # the plane x3 = -(x0 + x1), parametrized by x0, x1, x2, keeps homogeneity
+    cut = f.linear_change([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0]])
     assert cut.ring.nvars == 3
     assert cut.is_homogeneous() and cut.homogeneous_degree() == 3
-
-
-def test_substitute_identity():
-    ring = Ring(3, QQ)
-    f = poly("x0^2*x1 - x2^3 + 4", ring)
-    images = [Polynomial.variable(ring, i) for i in range(3)]
-    assert f.substitute(images) == f
+    x3 = poly("-1*x0 - x1", ring3)
+    assert cut == (poly("x0^2 + x1*x2", ring3) + x3 * x3) * x3
 
 
 # --- parser and printer ----------------------------------------------
