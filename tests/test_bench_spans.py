@@ -46,3 +46,24 @@ def test_traced_node_pipeline_files_every_basis_under_grevlex(repo_module):
     assert "groebner.basis.block" not in names
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_benchmark_memoization_guard_finds_no_report_cache(repo_module, monkeypatch):
+    # bench/run.py reads scenarios._REPORT_CACHE after its passes: the
+    # name must stay bound, and running a scenario must leave it empty
+    import sys
+    from pathlib import Path
+
+    from symmetroids.scenarios import run_scenario
+
+    bench_dir = Path(__file__).resolve().parents[1] / "bench"
+    loaded_before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(bench_dir))
+    try:
+        run = repo_module("bench/run.py")
+    finally:
+        for name in ("spans", "workloads"):
+            if name not in loaded_before:
+                sys.modules.pop(name, None)
+    assert run_scenario("cayley-cubic").passed
+    assert run.memoization_used() is False

@@ -109,3 +109,27 @@ def test_import_leaves_process_pools_unloaded(fresh_python):
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     )
     assert fresh_python(code) == "[]"
+
+
+def test_pair_budget_env_reaches_a_repeated_scenario(monkeypatch):
+    # the budget in force decides the run: a scenario that passed once
+    # in this process must hit the budget when it is lowered
+    assert run_scenario("d4-delta0-type22").passed
+    monkeypatch.setenv("SYMMETROIDS_PAIR_BUDGET", "1")
+    result = run_scenario("d4-delta0-type22")
+    assert not result.passed
+    [check] = result.checks
+    assert check.name == "pipeline"
+    assert not check.passed
+    assert check.observed.startswith("ResourceBudgetError:")
+
+
+@pytest.mark.parametrize("scenario_id", ["d4-delta0-type22", "cayley-cubic"])
+def test_seed_fan_out_matches_the_serial_run(scenario_id):
+    def strip(result):
+        return {k: v for k, v in result.to_json_dict().items() if k != "wall_time"}
+
+    serial = run_scenario(scenario_id)
+    pooled = run_scenario(scenario_id, workers=2)
+    assert strip(pooled) == strip(serial)
+    assert pooled.passed
