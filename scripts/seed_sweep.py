@@ -14,27 +14,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 from symmetroids.fields import PrimeField
 from symmetroids.groebner import CertificateError, ResourceBudgetError
-from symmetroids.matrices import (
-    DegenerateMatrixError,
-    DegreeType,
-    SymmetricFormMatrix,
-    surface_from_matrix,
-)
-from symmetroids.nodes import (
-    ChartMismatchError,
-    DegenerateSurfaceError,
-    count_nodes,
-    rank_drop_check,
-)
+from symmetroids.matrices import DegenerateMatrixError
+from symmetroids.nodes import ChartMismatchError, DegenerateSurfaceError
+from symmetroids.scenarios import type_seed_report
 
 
 def run_seed(payload):
     d, delta, degrees, p, seed = payload
-    dt = DegreeType(d, delta, degrees)
-    matrix = SymmetricFormMatrix.random(dt, PrimeField(p), seed=seed)
     try:
-        report = count_nodes(surface_from_matrix(matrix), seed=seed)
-        rank_drop_check(matrix, report)
+        report = type_seed_report(d, delta, degrees, PrimeField(p), seed)
     except (
         DegenerateMatrixError,
         DegenerateSurfaceError,

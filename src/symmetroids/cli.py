@@ -12,10 +12,11 @@ Exit codes
     0  success / scenario passed
     1  verification failed (scenario sub-check or requested identity)
     2  usage errors: bad flags, malformed input files, invalid types,
-       a rational input to nodes (node counting runs over a prime field),
-       an output path that cannot be written (build, nodes and
-       kummer-search reject an --out in a missing directory before any
-       work)
+       unknown constraint names, cohomology --t on a surface that is
+       not a quartic, a rational input to nodes (node counting runs
+       over a prime field), an output path that cannot be written
+       (build, nodes and kummer-search reject an --out in a missing
+       directory before any work)
     3  degenerate input (zero or non-reduced determinant)
     4  uncertified or not found (report not certified, chart mismatch,
        certificate cannot run because p <= t, search budget exhausted,
@@ -46,6 +47,7 @@ from .cohomology import (
 )
 from .enumeration import (
     CONSTRAINT_NAMES,
+    PROFILES,
     ConstraintProfile,
     enumerate_degree_types,
 )
@@ -65,7 +67,6 @@ from .matrices import (
 from .nodes import (
     ChartMismatchError,
     DegenerateSurfaceError,
-    NodeReport,
     UnsupportedFieldError,
     count_nodes,
     rank_drop_check,
@@ -113,15 +114,6 @@ def _parse_type_string(text: str) -> "tuple[int, ...]":
     return degrees
 
 
-def _profile_from_args(args) -> ConstraintProfile:
-    if args.constraints:
-        names = [n.strip() for n in args.constraints.split(",") if n.strip()]
-        return ConstraintProfile.from_names(names)
-    if args.profile == "default":
-        return ConstraintProfile.default()
-    return ConstraintProfile.smooth_section()
-
-
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -154,8 +146,12 @@ class _UsageError(Exception):
 
 
 def cmd_enumerate(args) -> int:
-    profile = _profile_from_args(args)
     try:
+        if args.constraints:
+            names = [n.strip() for n in args.constraints.split(",") if n.strip()]
+            profile = ConstraintProfile.from_names(names)
+        else:
+            profile = PROFILES[args.profile]
         found = enumerate_degree_types(args.d, args.delta, profile)
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"enumerate: {exc}")
@@ -270,6 +266,11 @@ def cmd_cohomology(args) -> int:
         pres = plane_section_presentation(matrix, seed=args.seed)
     else:
         pres = surface_presentation(matrix)
+    if args.mode == "surface" and args.t is not None:
+        try:
+            chi_ok = check_chi_node_formula(pres, args.t)
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, f"cohomology: --t: {exc}")
     table = cohomology_table(pres, range(lo, hi + 1))
     if args.format == "json":
         print(json.dumps(table.to_json_dict(), indent=2))
@@ -287,13 +288,9 @@ def cmd_cohomology(args) -> int:
             if args.format != "json":
                 print("duality symmetry: range too small, skipped")
     elif args.t is not None:
-        report = NodeReport(
-            t=args.t, reduced_certified=True, per_chart=[], seed=args.seed
-        )
-        ok = check_chi_node_formula(pres, report)
         if args.format != "json":
-            print(f"chi == (8 - t)/4: {'ok' if ok else 'FAILED'}")
-        if not ok:
+            print(f"chi == (8 - t)/4: {'ok' if chi_ok else 'FAILED'}")
+        if not chi_ok:
             status = EXIT_FAIL
     return status
 
@@ -355,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list admissible degree types")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=int, choices=(0, 1), required=True)
-    p.add_argument("--profile", choices=("default", "smooth-section"),
-                   default="default")
+    p.add_argument("--profile", choices=tuple(PROFILES), default="default")
     p.add_argument(
         "--constraints",
         help="comma-separated constraint names overriding --profile "

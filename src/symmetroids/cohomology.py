@@ -49,7 +49,6 @@ import numpy as np
 from .fields import PrimeField
 from .linalg import rank_mod_p, rank_over_field
 from .matrices import DegreeType, SymmetricFormMatrix
-from .nodes import NodeReport
 from .polynomials import monomial_array, shift_positions
 from .randomness import element_stream
 
@@ -267,10 +266,10 @@ def _dual_pairs(dt: DegreeType, n: int, ms) -> "list[tuple[int, int]]":
     return pairs
 
 
-def check_chi_node_formula(matrix: SymmetricFormMatrix, report: NodeReport) -> bool:
+def check_chi_node_formula(matrix: SymmetricFormMatrix, t: int) -> bool:
     """chi(coker) == (8 - t)/4 for quartic surfaces, exact arithmetic."""
     dt = matrix.degree_type
     if dt.d != 4:
         raise ValueError("the node formula applies to quartic surfaces")
     chi = chi_from_resolution(matrix, 0)
-    return Fraction(chi) == Fraction(8 - report.t, 4)
+    return Fraction(chi) == Fraction(8 - t, 4)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import DegreeType, DegreeTypeError
+from .matrices import DegreeType
 
 CONSTRAINT_NAMES = (
     "determinant_nonzero",
@@ -72,6 +72,13 @@ class ConstraintProfile:
         return tuple(n for n in CONSTRAINT_NAMES if getattr(self, n))
 
 
+# The named profiles: the CLI's --profile and the manifest's "profile".
+PROFILES = {
+    "default": ConstraintProfile.default(),
+    "smooth-section": ConstraintProfile.smooth_section(),
+}
+
+
 def enumerate_degree_types(
     d: int, delta: int, profile: "ConstraintProfile | None" = None
 ) -> "list[DegreeType]":
@@ -92,10 +99,7 @@ def enumerate_degree_types(
     found = []
     for h in range(1, h_max + 1):
         for degrees in _nondecreasing_tuples(d, h, lower, parity):
-            try:
-                dt = DegreeType(d, delta, degrees)
-            except DegreeTypeError:
-                continue
+            dt = DegreeType(d, delta, degrees)
             flags = dt.constraint_flags()
             if all(flags[name] for name in profile.enabled()):
                 found.append(dt)

@@ -45,6 +45,8 @@ from .randomness import random_linear_form
 
 DEFAULT_PAIR_BUDGET = 200_000
 PAIR_BUDGET_ENV = "SYMMETROIDS_PAIR_BUDGET"
+# Random separating forms tried before a quotient counts as uncertified.
+CERTIFICATE_ATTEMPTS = 5
 
 
 class ResourceBudgetError(Exception):
@@ -466,17 +468,15 @@ def multiplication_matrix(basis: GroebnerBasis, ell: Polynomial):
     return matrix, staircase
 
 
-def squarefree_certificate(
-    basis: GroebnerBasis, seed: int, retries: int = 5
-) -> bool:
+def squarefree_certificate(basis: GroebnerBasis, seed: int) -> bool:
     """Probabilistically certify that a zero-dimensional quotient is reduced.
 
     Draw a random linear form ell, build its multiplication matrix, and
     test the characteristic polynomial for squarefreeness.  A squarefree
     answer proves the quotient is reduced (the algebra is then generated
     by ell and isomorphic to F_p[x]/(squarefree)); a False answer only
-    means "not certified", though after the retry budget on a reduced
-    quotient the failure probability is astronomically small.
+    means "not certified", though after CERTIFICATE_ATTEMPTS forms on a
+    reduced quotient the failure probability is astronomically small.
     """
     field = basis.ring.field
     if not isinstance(field, PrimeField):
@@ -491,7 +491,7 @@ def squarefree_certificate(
         raise CertificateError(
             f"certificate needs p > colength ({field.p} <= {t})"
         )
-    for attempt in range(retries):
+    for attempt in range(CERTIFICATE_ATTEMPTS):
         ell = random_linear_form(basis.ring, seed, "separator", str(attempt))
         matrix, _ = multiplication_matrix(basis, ell)
         chi = char_poly_mod_p(np.array(matrix, dtype=np.int64), field.p)

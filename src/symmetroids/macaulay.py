@@ -41,12 +41,12 @@ m <= M' <= M.
 The oracle answers only from agreement windows: for each m it raises M
 until two consecutive values of dim(m, M) agree, and it returns the
 common value of two consecutive settled measurements dim*(m-1), dim*(m).
-Anything that never settles within the escalation budget comes back as
+Anything that never settles within ESCALATIONS steps comes back as
 None (inconclusive); ideals that are not zero-dimensional never settle.
-The default starting measurement degree, the cap, is three times the
-maximum generator degree.  A call eliminates A_{cap+1} once: when the
-measurements at cap - 1 and cap settle at once, as they do for the
-node-counting ideals, they need nothing higher.  A measurement that
+The starting measurement degree, the cap, is three times the maximum
+generator degree, and at least 2.  A call eliminates A_{cap+1} once:
+when the measurements at cap - 1 and cap settle at once, as they do for
+the node-counting ideals, they need nothing higher.  A measurement that
 needs a certificate degree above the one eliminated re-eliminates A at
 that degree; (x0*x1), which never settles, is eliminated at 7, 8, ... 11.
 
@@ -69,6 +69,10 @@ from .polynomials import Polynomial, monomial_array, shift_positions
 # Unused here; it stays bound in this module because the benchmark's
 # tracer wraps macaulay.rank_mod_p by name.
 from .linalg import rank_mod_p  # noqa: F401
+
+# How many degrees above the first the oracle raises a measurement, and a
+# certificate degree above its measurement, before it gives up.
+ESCALATIONS = 4
 
 
 def _row_count(degrees, nvars: int, M: int) -> int:
@@ -141,9 +145,9 @@ class _Elimination:
         return n_low - int(np.count_nonzero(in_a_M)) + int(np.count_nonzero(in_a_M & high))
 
 
-def _settled_dimension(elimination: _Elimination, m: int, escalations: int):
+def _settled_dimension(elimination: _Elimination, m: int):
     previous = None
-    for slack in range(escalations + 1):
+    for slack in range(ESCALATIONS + 1):
         current = elimination.dimension(m, m + slack)
         if current == previous:
             return current
@@ -151,16 +155,13 @@ def _settled_dimension(elimination: _Elimination, m: int, escalations: int):
     return None
 
 
-def macaulay_colength(
-    generators: "list[Polynomial]",
-    degree_cap: "int | None" = None,
-    escalations: int = 4,
-) -> "int | None":
+def macaulay_colength(generators: "list[Polynomial]") -> "int | None":
     """Stabilized quotient dimension, or None when it never settles.
 
     Settles the certificate degree at each measurement degree, then
     returns the common value of two consecutive settled measurements,
-    raising the measurement degree by one up to `escalations` times.
+    raising the measurement degree by one up to ESCALATIONS times from
+    the cap.
     Ideals that are not zero-dimensional never stabilize and come back
     as None.
     """
@@ -173,13 +174,11 @@ def macaulay_colength(
             raise ValueError("generators live in different rings")
     if any(g.degree() == 0 for g in gens):
         return 0
-    if degree_cap is None:
-        degree_cap = 3 * max(g.degree() for g in gens)
-    degree_cap = max(degree_cap, 2)
+    degree_cap = max(3 * max(g.degree() for g in gens), 2)
     elimination = _Elimination(gens, ring.nvars, ring.field, degree_cap + 1)
-    previous = _settled_dimension(elimination, degree_cap - 1, escalations)
-    for step in range(escalations + 1):
-        current = _settled_dimension(elimination, degree_cap + step, escalations)
+    previous = _settled_dimension(elimination, degree_cap - 1)
+    for step in range(ESCALATIONS + 1):
+        current = _settled_dimension(elimination, degree_cap + step)
         if current is not None and current == previous:
             return current
         previous = current

@@ -13,9 +13,12 @@ in data/scenarios.json together with a provenance tag:
 * "identity": bookkeeping that must hold by construction (determinism,
   internal consistency).
 
-Scenario and seed sweeps can fan out across processes; every worker
-rebuilds its own pipeline state from (type, field, seed), and results
-merge by pure concatenation.
+The module keeps no state: every run rebuilds its matrices and reports
+from (type, field, seed) or from the fixture file.  Each scenario kind
+only observes; one loop turns the manifest's checks into CheckRecords.
+`_sweep` is the one process fan-out: a scenario maps its seeds over it,
+and `run_all` with several ids maps whole scenarios over it (their seeds
+then run serially).  Results merge by pure concatenation.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ from .cohomology import (
     surface_presentation,
     table_duality_symmetry,
 )
-from .enumeration import (
-    ConstraintProfile,
-    enumerate_degree_types,
-    explain_rejection,
-)
+from .enumeration import PROFILES, enumerate_degree_types, explain_rejection
 from .fields import Field, PrimeField, field_from_json
 from .groebner import CertificateError, ResourceBudgetError
 from .kummer import search_sixteen_nodes
@@ -140,13 +139,9 @@ def load_fixture_surface(name: str) -> SurfaceSpec:
     return surface_from_json_dict(json.loads(text))
 
 
-# In-process cache: identical (type, seed) pipeline runs are shared
-# between scenarios and the acceptance suite.
+# Always empty: the package keeps no report cache.  The name stays bound
+# because the benchmark's memoization guard (bench/run.py) reads it.
 _REPORT_CACHE: "dict[tuple, NodeReport]" = {}
-
-
-def _field_key(field: Field) -> str:
-    return json.dumps(field.to_json(), sort_keys=True)
 
 
 def type_matrix(
@@ -164,233 +159,157 @@ def type_seed_report(
     seed: int,
     pair_budget: "int | None" = None,
 ) -> NodeReport:
-    """count_nodes + rank_drop_check for one seeded matrix, cached."""
-    key = ("type", d, delta, tuple(degrees), _field_key(field), seed, pair_budget)
-    if key not in _REPORT_CACHE:
-        matrix = type_matrix(d, delta, degrees, field, seed)
-        report = count_nodes(
-            surface_from_matrix(matrix), seed=seed, pair_budget=pair_budget
-        )
-        rank_drop_check(matrix, report, pair_budget=pair_budget)
-        _REPORT_CACHE[key] = report
-    return _REPORT_CACHE[key]
+    """count_nodes + rank_drop_check for one seeded matrix."""
+    matrix = type_matrix(d, delta, degrees, field, seed)
+    report = count_nodes(surface_from_matrix(matrix), seed=seed, pair_budget=pair_budget)
+    rank_drop_check(matrix, report, pair_budget=pair_budget)
+    return report
 
 
-def fixture_seed_report(
-    fixture: str, seed: int, pair_budget: "int | None" = None
-) -> NodeReport:
-    key = ("fixture", fixture, seed, pair_budget)
-    if key not in _REPORT_CACHE:
-        spec = load_fixture_surface(fixture)
-        _REPORT_CACHE[key] = count_nodes(spec, seed=seed, pair_budget=pair_budget)
-    return _REPORT_CACHE[key]
-
-
-def _type_seed_task(payload: tuple) -> "tuple[int, NodeReport]":
-    d, delta, degrees, field_json, seed, pair_budget = payload
-    field = field_from_json(field_json)
-    report = type_seed_report(d, delta, degrees, field, seed, pair_budget)
-    return seed, report
-
-
-def _fixture_seed_task(payload: tuple) -> "tuple[int, NodeReport]":
-    fixture, seed, pair_budget = payload
-    return seed, fixture_seed_report(fixture, seed, pair_budget)
-
-
-def _sweep(task, payloads, workers: int) -> list:
-    if workers > 1 and len(payloads) > 1:
+def _sweep(task, items, workers: int) -> list:
+    """[task(item) for item in items], across processes when workers > 1."""
+    if workers > 1 and len(items) > 1:
         # Imported here so that a serial run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, payloads))
-    return [task(p) for p in payloads]
+            return list(pool.map(task, items))
+    return [task(item) for item in items]
+
+
+def _check_records(checks, observe) -> list:
+    """One CheckRecord per manifest check.
+
+    `observe(name, expected, check)` returns (record name, observed,
+    passed), or None for a check the scenario kind does not know.
+    """
+    records = []
+    for check in checks:
+        name, expected = check["check"], check["value"]
+        name, observed, passed = observe(name, expected, check) or (name, None, False)
+        records.append(CheckRecord(name, expected, observed, check["tag"], passed))
+    return records
+
+
+def _per_seed_check(name: str, expected, reports):
+    """The checks that read one value off every seed's report."""
+    if name == "t":
+        observed = [r.t for r in reports]
+        return name, observed, all(v == expected for v in observed)
+    if name in ("reduced_certified", "rank_drop_consistent"):
+        observed = [getattr(r, name) for r in reports]
+        return name, observed, all(v is expected for v in observed)
+    return None
 
 
 def _run_degree_type(entry: dict, field: Field, workers: int, pair_budget) -> list:
-    d = entry["d"]
-    delta = entry["delta"]
-    degrees = tuple(entry["degrees"])
-    seeds = list(entry["seeds"])
-    field_json = field.to_json()
-    payloads = [(d, delta, degrees, field_json, s, pair_budget) for s in seeds]
-    results = _sweep(_type_seed_task, payloads, workers)
-    reports = []
-    for seed, report in results:
-        key = ("type", d, delta, degrees, _field_key(field), seed, pair_budget)
-        _REPORT_CACHE[key] = report
-        reports.append(report)
+    d, delta, degrees = entry["d"], entry["delta"], tuple(entry["degrees"])
+    seeds = entry["seeds"]
+    task = partial(type_seed_report, d, delta, degrees, field, pair_budget=pair_budget)
+    reports = _sweep(task, seeds, workers)
 
     matrix0 = type_matrix(d, delta, degrees, field, seeds[0])
-    section0 = plane_section_presentation(matrix0, seed=seeds[0])
     lo, hi = entry["duality_range"]
-    table0 = cohomology_table(section0, range(lo, hi + 1))
+    table0 = cohomology_table(
+        plane_section_presentation(matrix0, seed=seeds[0]), range(lo, hi + 1)
+    )
 
-    checks = []
-    for spec in entry["checks"]:
-        name = spec["check"]
-        expected = spec["value"]
-        tag = spec["tag"]
-        if name == "t":
-            observed = [r.t for r in reports]
-            passed = all(v == expected for v in observed)
-        elif name == "reduced_certified":
-            observed = [r.reduced_certified for r in reports]
-            passed = all(v is expected for v in observed)
-        elif name == "rank_drop_consistent":
-            observed = [r.rank_drop_consistent for r in reports]
-            passed = all(v is expected for v in observed)
-        elif name == "surface_chi0":
+    def observe(name, expected, check):
+        if name == "surface_chi0":
             observed = chi_from_resolution(surface_presentation(matrix0), 0)
-            passed = observed == expected
-        elif name == "chi_node_formula":
-            observed = check_chi_node_formula(
-                surface_presentation(matrix0), reports[0]
-            )
-            passed = observed is expected
-        elif name == "section_h0":
-            observed = table0.row(spec["m"]).h0
-            passed = observed == expected
-            name = f"section_h0({spec['m']})"
-        elif name == "section_h1":
-            observed = table0.row(spec["m"]).h1
-            passed = observed == expected
-            name = f"section_h1({spec['m']})"
-        elif name == "section_h0_le":
-            observed = table0.row(spec["m"]).h0
-            passed = observed <= expected
-            name = f"section_h0({spec['m']}) <= {expected}"
-        elif name == "duality":
+            return name, observed, observed == expected
+        if name == "chi_node_formula":
+            observed = check_chi_node_formula(surface_presentation(matrix0), reports[0].t)
+            return name, observed, observed is expected
+        if name in ("section_h0", "section_h1"):
+            row = table0.row(check["m"])
+            observed = row.h0 if name == "section_h0" else row.h1
+            return f"{name}({check['m']})", observed, observed == expected
+        if name == "section_h0_le":
+            observed = table0.row(check["m"]).h0
+            return f"section_h0({check['m']}) <= {expected}", observed, observed <= expected
+        if name == "duality":
             observed = table_duality_symmetry(table0)
-            passed = observed is expected
-            name = f"duality[{lo},{hi}]"
-        else:
-            observed = None
-            passed = False
-        checks.append(CheckRecord(name, expected, observed, tag, passed))
-    return checks
+            return f"duality[{lo},{hi}]", observed, observed is expected
+        return _per_seed_check(name, expected, reports)
+
+    return _check_records(entry["checks"], observe)
 
 
 def _run_fixture(entry: dict, workers: int, pair_budget) -> list:
-    fixture = entry["file"]
-    spec = load_fixture_surface(fixture)
-    seeds = list(entry["seeds"])
+    spec = load_fixture_surface(entry["file"])
     points = enumerate_rational_singular_points(spec)
     ranks = [hessian_rank_at_point(spec, P) for P in points]
-    payloads = [(fixture, s, pair_budget) for s in seeds]
-    results = _sweep(_fixture_seed_task, payloads, workers)
-    reports = []
-    for seed, report in results:
-        _REPORT_CACHE[("fixture", fixture, seed, pair_budget)] = report
-        reports.append(report)
+    task = partial(count_nodes, spec, pair_budget=pair_budget)
+    reports = _sweep(task, entry["seeds"], workers)
 
-    checks = []
-    for check in entry["checks"]:
-        name = check["check"]
-        expected = check["value"]
-        tag = check["tag"]
+    def observe(name, expected, check):
         if name == "enumeration_count":
-            observed = len(points)
-            passed = observed == expected
-        elif name == "hessian_ranks":
+            return name, len(points), len(points) == expected
+        if name == "hessian_ranks":
             observed = sorted(set(ranks)) or None
-            passed = observed == [expected]
-        elif name == "t":
-            observed = [r.t for r in reports]
-            passed = all(v == expected for v in observed)
-        elif name == "reduced_certified":
-            observed = [r.reduced_certified for r in reports]
-            passed = all(v is expected for v in observed)
-        elif name == "t_matches_enumeration":
+            return name, observed, observed == [expected]
+        if name == "t_matches_enumeration":
             observed = all(r.t == len(points) for r in reports)
-            passed = observed is expected
-        else:
-            observed = None
-            passed = False
-        checks.append(CheckRecord(name, expected, observed, tag, passed))
-    return checks
+            return name, observed, observed is expected
+        return _per_seed_check(name, expected, reports)
 
-
-def _profile_by_name(name: str) -> ConstraintProfile:
-    if name == "default":
-        return ConstraintProfile.default()
-    if name == "smooth-section":
-        return ConstraintProfile.smooth_section()
-    raise UnknownScenarioError(f"unknown constraint profile {name!r}")
+    return _check_records(entry["checks"], observe)
 
 
 def _run_enumeration(entry: dict) -> list:
     checks = []
     for item in entry["lists"]:
-        profile = _profile_by_name(item["profile"])
-        found = enumerate_degree_types(item["d"], item["delta"], profile)
+        if item["profile"] not in PROFILES:
+            raise UnknownScenarioError(f"unknown constraint profile {item['profile']!r}")
+        found = enumerate_degree_types(item["d"], item["delta"], PROFILES[item["profile"]])
         observed = [list(dt.degrees) for dt in found]
-        label = f"({item['d']},{item['delta']}) {item['profile']}"
+        name = f"list ({item['d']},{item['delta']}) {item['profile']}"
         if "expected" in item:
-            expected = item["expected"]
-            passed = observed == expected
-            checks.append(
-                CheckRecord(f"list {label}", expected, observed, item["tag"], passed)
-            )
+            expected, passed = item["expected"], observed == item["expected"]
         else:
-            expected = item["contains"]
-            passed = expected in observed
-            checks.append(
-                CheckRecord(
-                    f"list {label} contains", expected, observed, item["tag"], passed
-                )
-            )
+            expected, passed = item["contains"], item["contains"] in observed
+            name += " contains"
+        checks.append(CheckRecord(name, expected, observed, item["tag"], passed))
     for rej in entry.get("rejections", []):
         witnesses = explain_rejection(rej["d"], rej["delta"], tuple(rej["degrees"]))
         expected = [rej["reason"], rej["index"]]
-        passed = (rej["reason"], rej["index"]) in witnesses
         checks.append(
             CheckRecord(
                 f"rejection {tuple(rej['degrees'])}",
                 expected,
                 [list(w) for w in witnesses],
                 rej["tag"],
-                passed,
+                tuple(expected) in witnesses,
             )
         )
     return checks
 
 
 def _run_kummer(entry: dict, pair_budget) -> "tuple[list, bool]":
-    field = PrimeField(entry["p"])
-    result = search_sixteen_nodes(field, entry["seed"], entry["budget"])
+    result = search_sixteen_nodes(PrimeField(entry["p"]), entry["seed"], entry["budget"])
     if result is None:
-        return (
-            [CheckRecord("found", True, False, "identity", False)],
-            True,
-        )
-    checks = []
-    for check in entry["checks"]:
-        name = check["check"]
-        expected = check["value"]
-        tag = check["tag"]
+        return [CheckRecord("found", True, False, "identity", False)], True
+    report = result.report
+
+    def observe(name, expected, check):
         if name == "t":
-            observed = result.report.t
-            passed = observed == expected
-        elif name == "reduced_certified":
-            observed = result.report.reduced_certified
-            passed = observed is expected
-        elif name == "redetermination":
+            return name, report.t, report.t == expected
+        if name == "reduced_certified":
+            return name, report.reduced_certified, report.reduced_certified is expected
+        if name == "redetermination":
             rerun = count_nodes(
                 result.surface, seed=result.node_seed, pair_budget=pair_budget
             )
             observed = (
-                rerun.t == result.report.t
-                and rerun.reduced_certified == result.report.reduced_certified
-                and rerun.per_chart == result.report.per_chart
+                rerun.t == report.t
+                and rerun.reduced_certified == report.reduced_certified
+                and rerun.per_chart == report.per_chart
             )
-            passed = observed is expected
-        else:
-            observed = None
-            passed = False
-        checks.append(CheckRecord(name, expected, observed, tag, passed))
-    return checks, False
+            return name, observed, observed is expected
+        return None
+
+    return _check_records(entry["checks"], observe), False
 
 
 def run_scenario(
@@ -443,9 +362,6 @@ def run_all(
     for sid in ids:
         if sid not in SCENARIO_IDS:
             raise UnknownScenarioError(f"unknown scenario {sid!r}")
-    if workers > 1 and len(ids) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(run_scenario, pair_budget=pair_budget), ids))
-    return [run_scenario(sid, workers=workers, pair_budget=pair_budget) for sid in ids]
+    if len(ids) == 1:
+        return [run_scenario(ids[0], workers=workers, pair_budget=pair_budget)]
+    return _sweep(partial(run_scenario, pair_budget=pair_budget), ids, workers)

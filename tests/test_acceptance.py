@@ -45,7 +45,6 @@ from symmetroids.nodes import (
 from symmetroids.polynomials import Polynomial
 from symmetroids.randomness import random_form, random_invertible_matrix
 from symmetroids.scenarios import (
-    fixture_seed_report,
     load_fixture_surface,
     run_scenario,
     type_seed_report,
@@ -132,7 +131,7 @@ def test_criterion_2_quartic_22_pipeline():
     pres = surface_presentation(matrix0)
     assert chi_from_resolution(pres, 0) == 0
     report = type_seed_report(4, 0, (2, 2), F, 1)
-    assert check_chi_node_formula(pres, report)
+    assert check_chi_node_formula(pres, report.t)
 
 
 def test_criterion_3_linear_symmetroids():
@@ -153,7 +152,7 @@ def test_criterion_3_linear_symmetroids():
     assert len(points) == 4
     assert all(hessian_rank_at_point(spec, pt) == 3 for pt in points)
     for seed in CAYLEY_SEEDS:
-        report = fixture_seed_report("cayley_cubic.json", seed)
+        report = count_nodes(spec, seed=seed)
         assert report.t == 4
         assert report.reduced_certified
 

@@ -1,9 +1,13 @@
-"""The benchmark tracer (bench/spans.py) against the current package.
+"""The benchmark tracer (bench/spans.py) and memoization guard (bench/run.py)
+against the current package.
 
 The tracer patches library functions by name.  Installing it here makes
 a renamed or deleted name fail the suite instead of a traced benchmark
 run, and uninstalling must leave every patched attribute as it was.
 """
+
+import sys
+from pathlib import Path
 
 
 def test_tracer_install_and_uninstall_restore_every_attribute(repo_module):
@@ -51,9 +55,6 @@ def test_traced_node_pipeline_files_every_basis_under_grevlex(repo_module):
 def test_benchmark_memoization_guard_finds_no_report_cache(repo_module, monkeypatch):
     # bench/run.py reads scenarios._REPORT_CACHE after its passes: the
     # name must stay bound, and running a scenario must leave it empty
-    import sys
-    from pathlib import Path
-
     from symmetroids.scenarios import run_scenario
 
     bench_dir = Path(__file__).resolve().parents[1] / "bench"

@@ -27,7 +27,7 @@ from symmetroids.matrices import (
     surface_from_matrix,
     surface_to_json_dict,
 )
-from symmetroids import cli, scenarios
+from symmetroids import cli
 from symmetroids.fields import PrimeField
 
 
@@ -248,8 +248,6 @@ def test_malformed_pair_budget_env_is_usage(tmp_path, capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "nodes: SYMMETROIDS_PAIR_BUDGET must be an integer, got 'abc'\n"
-    # a fresh process starts with no cached reports
-    monkeypatch.setattr(scenarios, "_REPORT_CACHE", {})
     code, _, err = run(capsys, "verify-case", "cayley-cubic")
     assert code == EXIT_USAGE
     assert len(err.splitlines()) == 1
@@ -482,6 +480,14 @@ def quartic_file(tmp_path, *flags):
     return str(out_file)
 
 
+def quintic_file(tmp_path):
+    """The seed-1 (1,1,3) quintic matrix file."""
+    out_file = tmp_path / "quintic.json"
+    argv = ["build", "--type", "(1,1,3)", "--d", "5", "--delta", "0", "--out", str(out_file)]
+    assert main(argv) == EXIT_OK
+    return str(out_file)
+
+
 def malformed_json_file(tmp_path):
     bad = tmp_path / "malformed.json"
     bad.write_text("{")
@@ -504,6 +510,10 @@ def message_lines(err):
 EXIT_CODE_TABLE = [
     ("bad-flag", lambda t: ["enumerate", "--d", "4", "--delta", "0", "--bogus"], {},
      EXIT_USAGE, "unrecognized arguments: --bogus"),
+    ("unknown-constraint", lambda t: ["enumerate", "--d", "4", "--delta", "0", "--constraints", "foo"],
+     {}, EXIT_USAGE, "unknown constraints: ['foo']"),
+    ("chi-formula-off-quartics", lambda t: ["cohomology", quintic_file(t), "--mode", "surface", "--t", "4"],
+     {}, EXIT_USAGE, "the node formula applies to quartic surfaces"),
     ("unknown-field", lambda t: BUILD_22 + ["--field", "r", "--out", str(t / "x.json")], {},
      EXIT_USAGE, "unknown field 'r'"),
     ("malformed-json", lambda t: ["nodes", malformed_json_file(t)], {},

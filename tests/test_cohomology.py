@@ -25,17 +25,12 @@ from symmetroids.cohomology import (
 )
 from symmetroids.fields import DEFAULT_PRIME, PrimeField
 from symmetroids.matrices import DegreeType, SymmetricFormMatrix
-from symmetroids.nodes import NodeReport
 
 F = PrimeField(DEFAULT_PRIME)
 
 
 def matrix_of(dtype, seed=1):
     return SymmetricFormMatrix.random(dtype, F, seed=seed)
-
-
-def report_with(t, seed=1):
-    return NodeReport(t=t, reduced_certified=True, per_chart=[], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +119,8 @@ def test_quartic_22_surface_chi_formula():
     pres = surface_presentation(matrix)
     assert chi_from_resolution(pres, 0) == 0
     # t = 8 nodes: chi = (8 - 8)/4 = 0
-    assert check_chi_node_formula(pres, report_with(8))
-    assert not check_chi_node_formula(pres, report_with(4))
+    assert check_chi_node_formula(pres, 8)
+    assert not check_chi_node_formula(pres, 4)
 
 
 def test_tables_stable_across_seeds():
@@ -156,7 +151,7 @@ def test_quartic_13_surface_chi():
     pres = surface_presentation(matrix_of(DegreeType(4, 1, (1, 3))))
     assert chi_from_resolution(pres, 0) == 1
     # delta = 1: (8 - 6)/4 is not an integer and the formula must say no
-    assert not check_chi_node_formula(pres, report_with(6))
+    assert not check_chi_node_formula(pres, 6)
 
 
 def test_quartic_1111_section_values():
@@ -187,7 +182,7 @@ def test_quintic_11111_section_values():
 def test_chi_formula_rejects_non_quartics():
     pres = surface_presentation(matrix_of(DegreeType(5, 0, (1, 1, 3))))
     with pytest.raises(ValueError):
-        check_chi_node_formula(pres, report_with(16))
+        check_chi_node_formula(pres, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -38,5 +38,5 @@ def test_run_seed_names_each_pipeline_error(repo_module, monkeypatch, error):
     def fail(*args, **kwargs):
         raise exc_class("injected")
 
-    monkeypatch.setattr(sweep, "surface_from_matrix", fail)
+    monkeypatch.setattr(sweep, "type_seed_report", fail)
     assert sweep.run_seed((4, 0, (2, 2), 31991, 3)) == (3, error)
