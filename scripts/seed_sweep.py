@@ -10,13 +10,12 @@ e.g.
 
 import argparse
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from symmetroids.fields import PrimeField
 from symmetroids.groebner import CertificateError, ResourceBudgetError
 from symmetroids.matrices import DegenerateMatrixError
 from symmetroids.nodes import ChartMismatchError, DegenerateSurfaceError
-from symmetroids.scenarios import type_seed_report
+from symmetroids.scenarios import _sweep, type_seed_report
 
 
 def run_seed(payload):
@@ -55,11 +54,7 @@ def main() -> int:
         (args.d, args.delta, args.type, args.p, seed)
         for seed in range(first, last + 1)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_seed, payloads))
-    else:
-        results = [run_seed(p) for p in payloads]
+    results = _sweep(run_seed, payloads, args.workers)
 
     tally = Counter()
     for seed, outcome in results:

@@ -12,11 +12,11 @@ Exit codes
     0  success / scenario passed
     1  verification failed (scenario sub-check or requested identity)
     2  usage errors: bad flags, malformed input files, invalid types,
-       unknown constraint names, cohomology --t on a surface that is
-       not a quartic, a rational input to nodes (node counting runs
-       over a prime field), an output path that cannot be written
-       (build, nodes and kummer-search reject an --out in a missing
-       directory before any work)
+       unknown constraint names, cohomology --t in section mode or on
+       a surface that is not a quartic, a rational input to nodes
+       (node counting runs over a prime field), an output path that
+       cannot be written (build, nodes and kummer-search reject an
+       --out in a missing directory before any work)
     3  degenerate input (zero or non-reduced determinant)
     4  uncertified or not found (report not certified, chart mismatch,
        certificate cannot run because p <= t, search budget exhausted,
@@ -263,10 +263,12 @@ def cmd_cohomology(args) -> int:
     if hi < lo:
         return _fail(EXIT_USAGE, "cohomology: --m-max must be >= --m-min")
     if args.mode == "section":
+        if args.t is not None:
+            return _fail(EXIT_USAGE, "cohomology: --t applies to --mode surface only")
         pres = plane_section_presentation(matrix, seed=args.seed)
     else:
         pres = surface_presentation(matrix)
-    if args.mode == "surface" and args.t is not None:
+    if args.t is not None:
         try:
             chi_ok = check_chi_node_formula(pres, args.t)
         except ValueError as exc:

@@ -44,9 +44,13 @@ common value of two consecutive settled measurements dim*(m-1), dim*(m).
 Anything that never settles within ESCALATIONS steps comes back as
 None (inconclusive); ideals that are not zero-dimensional never settle.
 The starting measurement degree, the cap, is three times the maximum
-generator degree, and at least 2.  A call eliminates A_{cap+1} once:
-when the measurements at cap - 1 and cap settle at once, as they do for
-the node-counting ideals, they need nothing higher.  A measurement that
+generator degree, and at least 2.  The Jacobian ideal of a degree-d
+surface is generated by its partials of degree d - 1 unless the
+characteristic divides d (see `nodes.affine_jacobian_ideal`), so its
+cap is 3(d-1): a quartic's is 9, and A_10 has 4 * C(10, 3) = 480 rows
+over C(13, 3) = 286 monomials.  A call eliminates A_{cap+1} once: when
+the measurements at cap - 1 and cap settle at once, as they do for the
+node-counting ideals, they need nothing higher.  A measurement that
 needs a certificate degree above the one eliminated re-eliminates A at
 that degree; (x0*x1), which never settles, is eliminated at 7, 8, ... 11.
 

@@ -1,13 +1,16 @@
 """Counting and certifying the nodes of a surface in P^3.
 
 The singular scheme of F = {f = 0} is cut out by f and its four
-partials.  After a random invertible coordinate change the singular
-points all land in the affine chart x3 = 1 (finitely many points cannot
-hit a random plane over a large field), so the count is the staircase
-colength of the dehomogenized Jacobian ideal in three variables.  Two
-independent random charts must agree before a count is reported; a
-mismatch means a singular point slipped to infinity and is a retryable
-fluke, not a result.
+partials, and by the partials alone when the characteristic p does not
+divide d = deg f: Euler's relation d * f = sum_i x_i * d_i f then puts f
+in the ideal of its partials.  When p | d the relation says nothing about
+f, which stays in the Jacobian ideal.  After a random invertible
+coordinate change the singular points all land in the affine chart
+x3 = 1 (finitely many points cannot hit a random plane over a large
+field), so the count is the staircase colength of the dehomogenized
+Jacobian ideal in three variables.  Two independent random charts must
+agree before a count is reported; a mismatch means a singular point
+slipped to infinity and is a retryable fluke, not a result.
 
 The colength counts each singular point by its local algebra dimension,
 so `t` equals the node count exactly when the singular scheme is
@@ -82,9 +85,23 @@ class NodeReport:
 
 
 def affine_jacobian_ideal(spec: SurfaceSpec, transform) -> Ideal:
-    """Jacobian ideal in the chart x3 = 1 after the coordinate change."""
+    """Jacobian ideal in the chart x3 = 1 after the coordinate change.
+
+    Its generators are the four partials of g = f after the change, and
+    g itself only when the characteristic p divides d.  Otherwise
+    Euler's relation, dehomogenized,
+
+        d * g(x, 1) = sum_{i<3} x_i (d_i g)(x, 1) + (d_3 g)(x, 1),
+
+    puts g in the ideal of its partials: the ideal is the same, and the
+    Macaulay oracle's cap drops from 3d to 3(d-1).  Over Q
+    (characteristic 0) g is never kept.
+    """
     g = spec.f.linear_change(transform)
-    gens4 = [g] + [g.partial_derivative(i) for i in range(AMBIENT_VARS)]
+    gens4 = [g.partial_derivative(i) for i in range(AMBIENT_VARS)]
+    p = spec.ring.field.characteristic
+    if p and spec.d % p == 0:
+        gens4.insert(0, g)
     gens3 = [h.dehomogenize(AMBIENT_VARS - 1) for h in gens4 if h]
     ring3 = Ring(AMBIENT_VARS - 1, spec.ring.field)
     return Ideal(ring3, gens3)

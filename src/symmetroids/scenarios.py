@@ -18,7 +18,8 @@ from (type, field, seed) or from the fixture file.  Each scenario kind
 only observes; one loop turns the manifest's checks into CheckRecords.
 `_sweep` is the one process fan-out: a scenario maps its seeds over it,
 and `run_all` with several ids maps whole scenarios over it (their seeds
-then run serially).  Results merge by pure concatenation.
+then run serially), and so does scripts/seed_sweep.py with its seed
+range.  Results merge by pure concatenation.
 """
 
 from __future__ import annotations

@@ -514,6 +514,8 @@ EXIT_CODE_TABLE = [
      {}, EXIT_USAGE, "unknown constraints: ['foo']"),
     ("chi-formula-off-quartics", lambda t: ["cohomology", quintic_file(t), "--mode", "surface", "--t", "4"],
      {}, EXIT_USAGE, "the node formula applies to quartic surfaces"),
+    ("chi-formula-in-section-mode", lambda t: ["cohomology", quartic_file(t), "--t", "8"],
+     {}, EXIT_USAGE, "--t applies to --mode surface only"),
     ("unknown-field", lambda t: BUILD_22 + ["--field", "r", "--out", str(t / "x.json")], {},
      EXIT_USAGE, "unknown field 'r'"),
     ("malformed-json", lambda t: ["nodes", malformed_json_file(t)], {},

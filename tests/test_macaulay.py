@@ -130,20 +130,51 @@ def count_eliminations(monkeypatch):
     return built, shapes
 
 
-def test_a_settled_call_builds_and_eliminates_one_matrix(monkeypatch):
-    # quartic (2,2) symmetroid: the quartic and its four cubic partials in
-    # three variables, degree cap 12.  The measurements (11, 11), (11, 12),
-    # (12, 12), (12, 13) all read off the pivots of A_13:
-    # C(12, 3) + 4 * C(13, 3) rows x^a * g_i over the C(16, 3) monomials
-    # of degree <= 13.
+def quartic_chart_partials():
+    """The chart-a partials of the seed-1 (2,2) quartic, and the quartic."""
     spec = surface_from_matrix(type_matrix(4, 0, (2, 2), F, 1))
     chart = random_invertible_matrix(F, 4, 1, "chart-a")
-    generators = list(affine_jacobian_ideal(spec, chart).generators)
-    assert [g.degree() for g in generators] == [4, 3, 3, 3, 3]
+    partials = list(affine_jacobian_ideal(spec, chart).generators)
+    return partials, spec.f.linear_change(chart).dehomogenize(3)
+
+
+def test_a_settled_call_builds_and_eliminates_one_matrix(monkeypatch):
+    # quartic (2,2) symmetroid: its four cubic partials in three
+    # variables (the quartic itself is in their ideal), degree cap 9.
+    # The measurements (8, 8), (8, 9), (9, 9), (9, 10) all read off the
+    # pivots of A_10: 4 * C(10, 3) rows x^a * g_i over the C(13, 3)
+    # monomials of degree <= 10.
+    generators, _ = quartic_chart_partials()
+    assert [g.degree() for g in generators] == [3, 3, 3, 3]
     built, shapes = count_eliminations(monkeypatch)
     assert macaulay_colength(generators) == 8
+    assert built == [10]
+    assert shapes == [(4 * 120, 286)]
+
+
+def test_the_cap_is_three_times_the_largest_generator_degree(monkeypatch):
+    # the same ideal with the quartic added: degree cap 12, and the
+    # measurements (11, 11) ... (12, 13) read off A_13, C(12, 3) + 4 *
+    # C(13, 3) rows over the C(16, 3) monomials of degree <= 13
+    partials, f = quartic_chart_partials()
+    built, shapes = count_eliminations(monkeypatch)
+    assert macaulay_colength([f] + partials) == 8
     assert built == [13]
     assert shapes == [(220 + 4 * 286, 560)]
+
+
+@pytest.mark.parametrize(
+    "d, delta, degrees, seed, t",
+    [(5, 0, (1, 1, 3), 1, 16), (5, 0, (1, 1, 3), 2, 16), (6, 1, (1,) * 6, 1, 35)],
+    ids=["(1,1,3)-s1", "(1,1,3)-s2", "6x6-s1"],
+)
+def test_oracle_counts_the_nodes_of_the_quintic_and_sextic_types(d, delta, degrees, seed, t):
+    # the acceptance suite's oracle criterion covers the quartic, cubic and
+    # (1,1,1,1,1) ideals; these are the other types certify runs, with the
+    # pinned t = 16 for (1,1,3) and t = C(7, 3) for the 6x6 linear symmetroid
+    spec = surface_from_matrix(type_matrix(d, delta, degrees, F, seed))
+    chart = random_invertible_matrix(F, 4, seed, "chart-a")
+    assert macaulay_colength(list(affine_jacobian_ideal(spec, chart).generators)) == t
 
 
 def test_an_unsettled_call_re_eliminates_at_each_higher_degree(monkeypatch):

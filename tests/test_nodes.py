@@ -8,6 +8,7 @@ anchored by exhaustive F_7 point enumeration.
 """
 
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -135,6 +136,50 @@ def test_affine_jacobian_matches_macaulay():
     transform = random_invertible_matrix(field, 4, 2, "chart-a")
     ideal = affine_jacobian_ideal(spec, transform)
     assert macaulay_colength(list(ideal.generators)) == 4
+
+
+# ---------------------------------------------------------------------------
+# The Jacobian ideal: the four partials, and f only when p divides d
+
+
+def chart_partials(spec, transform):
+    """The four partials of f after the chart change, in the chart x3 = 1."""
+    g = spec.f.linear_change(transform)
+    partials = [g.partial_derivative(i).dehomogenize(3) for i in range(4)]
+    return [h for h in partials if h]
+
+
+@pytest.mark.parametrize("seed,t", [(1, 9), (2, 6), (3, 9), (4, 3)])
+def test_jacobian_ideal_keeps_f_when_p_divides_d(seed, t):
+    # over F_3 the cubic's Euler relation reads 0 = sum x_i d_i f: the
+    # partials x2*x3, x1*x3, x1*x2 (and d_0 f = 3*x0^2 = 0) vanish on
+    # three lines, and only f cuts them down to points.  F_3 is too small
+    # for a generic chart, so the colength moves with the seed.
+    field = PrimeField(3)
+    spec = spec_from("x0^3 + x1*x2*x3", 3, field)
+    transform = random_invertible_matrix(field, 4, seed, "chart-a")
+    ideal = affine_jacobian_ideal(spec, transform)
+    assert [g.degree() for g in ideal.generators] == [3, 2, 2, 2, 2]
+    assert ideal.groebner_basis().colength() == t
+    partials = chart_partials(spec, transform)
+    assert Ideal(Ring(3, field), partials).groebner_basis().colength() == math.inf
+    assert macaulay_colength(partials) is None
+
+
+def test_jacobian_ideal_drops_f_when_p_does_not_divide_d():
+    # 4 * f(x, 1) = sum_{i<3} x_i (d_i f)(x, 1) + (d_3 f)(x, 1), so f
+    # adds nothing to the ideal of its partials
+    matrix = SymmetricFormMatrix.random(DegreeType(4, 0, (2, 2)), F, seed=1)
+    spec = surface_from_matrix(matrix)
+    transform = random_invertible_matrix(F, 4, 1, "chart-a")
+    ideal = affine_jacobian_ideal(spec, transform)
+    partials = chart_partials(spec, transform)
+    assert list(ideal.generators) == partials
+    assert [g.degree() for g in partials] == [3, 3, 3, 3]
+    f = spec.f.linear_change(transform).dehomogenize(3)
+    with_f = Ideal(Ring(3, F), [f] + partials).groebner_basis()
+    assert ideal.groebner_basis() == with_f
+    assert with_f.colength() == 8
 
 
 # ---------------------------------------------------------------------------
