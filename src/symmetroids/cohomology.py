@@ -8,25 +8,38 @@ and because the middle terms are direct sums of line bundles on P^n
 (n = 3 for the surface case, n = 2 for a plane section) the sequence is
 exact on global sections in every twist.  Two exact quantities follow:
 
-* h0(m): the dimension of the degree-m cokernel piece, computed as a
-  rank of the block matrix whose (i, j) block multiplies by entry(i, j)
-  from the degree (m - l_j) piece to the degree (m - r_i) piece;
+* h0(m): the dimension of the degree-m cokernel piece, the target
+  dimension sum dim S_{m - r_i} minus the rank of phi in degree m;
 * chi(m): the alternating sum of Hilbert polynomials
   sum B(m - r_i) - sum B(m - l_j), where B(a) = (a+1)(a+2)(a+3)/6 on
   P^3 and (a+1)(a+2)/2 on P^2, evaluated as polynomials at every
   integer (this is the sheaf Euler characteristic, negative twists
   included).
 
+Once det(phi) is not the zero form, adj(phi) phi = det(phi) I over the
+domain S makes phi injective in every degree, so the rank is the
+column count and h0(m) = sum dim S_{m - r_i} - sum dim S_{m - l_j}
+(`h0_from_resolution`), a function of the degree type alone.
+`cohomology_table` proves det(phi) != 0 once per matrix, by one nonzero
+value of det(phi) at a seeded point (`det_nonzero_at_point`), and then
+reads every row off the degree type.  When that value is zero (a
+degenerate matrix file, or an unlucky point over a small field) the
+table falls back to the rank path, `hilbert_function_coker`, at every
+twist: the rank of the block matrix whose (i, j) block multiplies by
+entry(i, j) from the degree (m - l_j) piece to the degree (m - r_i)
+piece.
+
 A presentation is the `SymmetricFormMatrix` itself: on P^3 for the
 surface, and on P^2 for a plane section, which
 `plane_section_presentation` cuts with one 4 x 3 linear change of the
 coordinates.  Every function below takes the matrix.
 
-The block matrix is assembled with numpy.  The monomial bases of the
-graded pieces are the memoized arrays of `polynomials.monomial_array`,
-and each nonzero block (i, j) takes one `shift_positions` lookup
-(integer grevlex codes and one searchsorted) and one scatter of the
-entry's coefficients, instead of a Python loop over columns and terms.
+The rank path's block matrix is assembled with numpy.  The monomial
+bases of the graded pieces are the memoized arrays of
+`polynomials.monomial_array`, and each nonzero block (i, j) takes one
+`shift_positions` lookup (integer grevlex codes and one searchsorted)
+and one scatter of the entry's coefficients, instead of a Python loop
+over columns and terms.
 
 For a plane-section presentation the support is a curve, cohomology
 vanishes above degree 1, and h1(m) = h0(m) - chi(m) is an honest
@@ -37,6 +50,12 @@ a symmetric range (`table_duality_symmetry` decides it on a table that
 is already built).  For quartic surfaces chi(coker) relates linearly to
 the node count: chi = (8 - t)/4 in the even (delta = 0) case, which
 `check_chi_node_formula` tests exactly.
+
+What the checks verify: on a certified matrix the duality symmetry and
+the section's h0/h1 values test the closed form and the degree type,
+not the matrix; chi = (8 - t)/4 is the check that ties the tables to the
+node count of the Groebner engine.  The rank path is what a degenerate
+matrix gets.
 """
 
 from __future__ import annotations
@@ -47,10 +66,10 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import rank_mod_p, rank_over_field
+from .linalg import det_over_field, rank_mod_p, rank_over_field
 from .matrices import DegreeType, SymmetricFormMatrix
 from .polynomials import monomial_array, shift_positions
-from .randomness import element_stream
+from .randomness import element_stream, random_point
 
 
 class PresentationError(ValueError):
@@ -167,6 +186,27 @@ def chi_from_resolution(matrix: SymmetricFormMatrix, m: int) -> int:
     return total
 
 
+def h0_from_resolution(matrix: SymmetricFormMatrix, m: int) -> int:
+    """h0(coker(phi)(m)) for an injective phi: target dims minus source dims."""
+    dt = matrix.degree_type
+    n = matrix.ring.nvars
+    return sum(graded_piece_dimension(n, m - ri) for ri in dt.target_twists) - sum(
+        graded_piece_dimension(n, m - lj) for lj in dt.source_twists
+    )
+
+
+def det_nonzero_at_point(matrix: SymmetricFormMatrix) -> bool:
+    """Whether det(phi) is nonzero at one seeded point of k^n.
+
+    True proves det(phi) is not the zero form, and then phi is injective
+    in every degree (adj(phi) phi = det(phi) I over a domain).  False
+    proves nothing: det(phi) may vanish identically or only there.
+    """
+    point = random_point(matrix.field, matrix.ring.nvars, 0, "injective")
+    values = [[entry.evaluate(point) for entry in row] for row in matrix.entries]
+    return bool(det_over_field(values, matrix.field))
+
+
 @dataclass(frozen=True)
 class CohomologyRow:
     m: int
@@ -210,14 +250,18 @@ class CohomologyTable:
 def cohomology_table(matrix: SymmetricFormMatrix, m_range) -> CohomologyTable:
     """The (h0, h1, chi) table over the twist range.
 
+    h0 comes from the degree type (`h0_from_resolution`) once
+    `det_nonzero_at_point` proves phi injective, and otherwise from the
+    rank of each degree piece (`hilbert_function_coker`), twist by twist.
     On a curve (n = 3) h1 = h0 - chi and must be nonnegative; a negative
     value would mean the presentation is broken and raises.  On the
     surface (n = 4) only h0 and chi are exposed; h1 is None.
     """
     rows = []
     curve = matrix.ring.nvars == 3
+    h0_of = h0_from_resolution if det_nonzero_at_point(matrix) else hilbert_function_coker
     for m in m_range:
-        h0 = hilbert_function_coker(matrix, m)
+        h0 = h0_of(matrix, m)
         chi = chi_from_resolution(matrix, m)
         h1 = None
         if curve:

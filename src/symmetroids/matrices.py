@@ -39,7 +39,7 @@ from itertools import combinations
 
 from .fields import Field, field_from_json
 from .linalg import det_over_field
-from .polynomials import Polynomial, Ring, format_polynomial, parse_polynomial
+from .polynomials import Polynomial, Ring, _LinearMap, format_polynomial, parse_polynomial
 from .randomness import element_stream, random_form
 
 AMBIENT_VARS = 4
@@ -197,13 +197,16 @@ class SymmetricFormMatrix:
         return self.ring.field
 
     def linear_change(self, transform) -> "SymmetricFormMatrix":
-        """phi(A y): each entry through `Polynomial.linear_change(A)`.
+        """phi(A y): each entry as `Polynomial.linear_change(A)` gives it.
 
-        The upper triangle is moved and mirrored down.  A has one row per
-        variable and full column rank k; the result lives in Ring(k, field).
+        A is checked once for the whole matrix (one row per variable,
+        full column rank k), and the entries share its powers.  The upper
+        triangle is moved and mirrored down; the result lives in
+        Ring(k, field).
         """
+        move = _LinearMap(self.ring, transform)
         return SymmetricFormMatrix.from_upper_triangle(
-            self.degree_type, lambda i, j: self.entries[i][j].linear_change(transform)
+            self.degree_type, lambda i, j: move(self.entries[i][j])
         )
 
     @classmethod

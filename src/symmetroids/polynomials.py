@@ -334,49 +334,9 @@ class Polynomial:
 
         A is nvars x k with full column rank k, and the result lives in
         Ring(k, field).  A square A is an invertible change of
-        coordinates; a 4 x 3 one parametrizes a plane of P^3.  Each
-        power of an image is computed once, by repeated squaring.
+        coordinates; a 4 x 3 one parametrizes a plane of P^3.
         """
-        field = self.ring.field
-        rows = [[field.normalize(v) for v in row] for row in matrix]
-        k = len(rows[0]) if rows else 0
-        if len(rows) != self.ring.nvars or k < 1 or any(len(r) != k for r in rows):
-            raise ValueError("substitution matrix has wrong shape")
-        if rank_over_field(rows, field) != k:
-            raise ValueError("substitution matrix does not have full column rank")
-        target = Ring(k, field)
-        images = [
-            Polynomial.from_terms(
-                target,
-                {tuple(1 if j == l else 0 for l in range(k)): row[j] for j in range(k) if row[j]},
-            )
-            for row in rows
-        ]
-        powers: "list[dict[int, Polynomial]]" = [dict() for _ in images]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            got = cache.get(e)
-            if got is None:
-                got = Polynomial.constant(target, 1)
-                base = images[i]
-                rest = e
-                while rest:
-                    if rest & 1:
-                        got = got * base
-                    base = base * base if rest > 1 else base
-                    rest >>= 1
-                cache[e] = got
-            return got
-
-        result = Polynomial.zero(target)
-        for m, c in self.terms.items():
-            part = Polynomial.constant(target, c)
-            for i, e in enumerate(m):
-                if e:
-                    part = part * power(i, e)
-            result = result + part
-        return result
+        return _LinearMap(self.ring, matrix)(self)
 
     def dehomogenize(self, chart: int) -> "Polynomial":
         """Set variable `chart` to 1 and drop it; requires homogeneous input."""
@@ -407,6 +367,60 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {format_polynomial(self)}>"
+
+
+class _LinearMap:
+    """x_i -> sum_j A[i][j] y_j from `ring` into Ring(k), for a checked A.
+
+    The map is normalized and checked (nvars x k, full column rank k)
+    once, when it is built; calling it on a polynomial of `ring` checks
+    nothing more.  The images of the variables and their powers, each
+    computed once by repeated squaring, are shared by every polynomial
+    the map moves, so the entries of one matrix reuse them.
+    """
+
+    def __init__(self, ring: Ring, matrix):
+        field = ring.field
+        rows = [[field.normalize(v) for v in row] for row in matrix]
+        k = len(rows[0]) if rows else 0
+        if len(rows) != ring.nvars or k < 1 or any(len(r) != k for r in rows):
+            raise ValueError("substitution matrix has wrong shape")
+        if rank_over_field(rows, field) != k:
+            raise ValueError("substitution matrix does not have full column rank")
+        self.target = Ring(k, field)
+        self.images = [
+            Polynomial.from_terms(
+                self.target,
+                {tuple(1 if j == l else 0 for l in range(k)): row[j] for j in range(k) if row[j]},
+            )
+            for row in rows
+        ]
+        self.powers: "list[dict[int, Polynomial]]" = [dict() for _ in self.images]
+
+    def power(self, i: int, e: int) -> Polynomial:
+        cache = self.powers[i]
+        got = cache.get(e)
+        if got is None:
+            got = Polynomial.constant(self.target, 1)
+            base = self.images[i]
+            rest = e
+            while rest:
+                if rest & 1:
+                    got = got * base
+                base = base * base if rest > 1 else base
+                rest >>= 1
+            cache[e] = got
+        return got
+
+    def __call__(self, poly: Polynomial) -> Polynomial:
+        result = Polynomial.zero(self.target)
+        for m, c in poly.terms.items():
+            part = Polynomial.constant(self.target, c)
+            for i, e in enumerate(m):
+                if e:
+                    part = part * self.power(i, e)
+            result = result + part
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symmetroids import cohomology, linalg, macaulay
+from symmetroids import cli, cohomology, linalg, macaulay
 from symmetroids.cli import main
 from symmetroids.cohomology import (
     hilbert_function_coker,
@@ -307,19 +307,27 @@ def test_cli_section_mode_computes_each_h0_once(tmp_path, capsys, monkeypatch):
         "--out", str(matrix_file),
     ]) == 0
     capsys.readouterr()
-    twists_seen = []
-    h0 = cohomology.hilbert_function_coker
+    tables, twists_seen = [], []
+    table, h0 = cli.cohomology_table, cohomology.hilbert_function_coker
 
-    def counted(pres, m):
+    def counted_table(pres, m_range):
+        tables.append(list(m_range))
+        return table(pres, m_range)
+
+    def counted_h0(pres, m):
         twists_seen.append(m)
         return h0(pres, m)
 
-    monkeypatch.setattr(cohomology, "hilbert_function_coker", counted)
+    monkeypatch.setattr(cli, "cohomology_table", counted_table)
+    monkeypatch.setattr(cohomology, "hilbert_function_coker", counted_h0)
     code = main([
         "cohomology", str(matrix_file), "--mode", "section",
         "--m-min", "-2", "--m-max", "4", "--seed", "2",
     ])
     assert code == 0
     assert capsys.readouterr().out == SECTION_TABLE_113_SEED2
-    # one h0 per twist; recomputing the table for duality made it 14
-    assert twists_seen == list(range(-2, 5))
+    # duality is decided on the printed table, not on a second one, and
+    # the section's determinant is nonzero at the certificate point, so
+    # every row comes from the degree type and no twist is ranked
+    assert tables == [list(range(-2, 5))]
+    assert twists_seen == []

@@ -351,6 +351,47 @@ def test_cohomology_json_report_is_pinned(tmp_path, capsys, spec, mode, field):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+# `cohomology --m-min -2 --m-max 5 --seed 1` on the det == 0 file of
+# `degenerate_matrix_file`: its two equal rows leave a kernel from degree
+# 3 on, so h0 outgrows chi and the section table fails duality.
+DEGENERATE_TABLES = {
+    "section": (EXIT_FAIL, """\
+   m     h0     h1     chi
+  -2      0     10     -10
+  -1      0      6      -6
+   0      0      2      -2
+   1      2      0       2
+   2      6      0       6
+   3     11      1      10
+   4     17      3      14
+   5     24      6      18
+duality symmetry: FAILED
+""", "b491b47025313e9bb628f7c764237c158afe95775987cc728efb7ff06e855939"),
+    "surface": (EXIT_OK, """\
+   m     h0     h1     chi
+  -2      0      -       8
+  -1      0      -       2
+   0      0      -       0
+   1      2      -       2
+   2      8      -       8
+   3     19      -      18
+   4     36      -      32
+   5     60      -      50
+""", "61361bec1ac775c915fa7e0d8888af922871897f1686b9bafe30fb546f460ba0"),
+}
+
+
+@pytest.mark.parametrize("mode", list(DEGENERATE_TABLES))
+def test_cohomology_of_a_degenerate_matrix_file_is_pinned(tmp_path, capsys, mode):
+    bad = str(degenerate_matrix_file(tmp_path))
+    want_code, want_text, want_json = DEGENERATE_TABLES[mode]
+    args = ["cohomology", bad, "--mode", mode, "--m-min", "-2", "--m-max", "5", "--seed", "1"]
+    assert run(capsys, *args) == (want_code, want_text, "")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_json
+
+
 def test_cohomology_surface_chi_check(tmp_path, capsys):
     matrix_file = build_matrix_file(tmp_path, "(2,2)", 4, 0)
     capsys.readouterr()

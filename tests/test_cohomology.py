@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from symmetroids import cohomology
 from symmetroids.cohomology import (
     CohomologyTable,
     RangeTooSmallError,
@@ -23,8 +24,8 @@ from symmetroids.cohomology import (
     plane_section_presentation,
     surface_presentation,
 )
-from symmetroids.fields import DEFAULT_PRIME, PrimeField
-from symmetroids.matrices import DegreeType, SymmetricFormMatrix
+from symmetroids.fields import DEFAULT_PRIME, QQ, PrimeField
+from symmetroids.matrices import DegreeType, SymmetricFormMatrix, determinant
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -227,3 +228,86 @@ def test_surface_table_has_no_h1():
     matrix = matrix_of(DegreeType(4, 0, (2, 2)))
     table = cohomology_table(surface_presentation(matrix), range(0, 3))
     assert all(r.h1 is None for r in table.rows)
+
+
+# ---------------------------------------------------------------------------
+# The table against the rank path, twist by twist
+
+AGREEMENT_TYPES = [
+    (4, 0, (2, 2)),
+    (4, 1, (1, 3)),
+    (4, 1, (1, 1, 1, 1)),
+    (5, 0, (1, 1, 3)),
+    (5, 0, (1, 1, 1, 1, 1)),
+    (4, 1, (-1, 1, 1, 3)),
+    (6, 1, (1,) * 6),
+]
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(7), QQ], ids=["F31991", "F7", "Q"])
+@pytest.mark.parametrize("d, delta, degrees", AGREEMENT_TYPES, ids=[str(t[2]) for t in AGREEMENT_TYPES])
+def test_table_rows_match_the_rank_path(d, delta, degrees, field):
+    matrix = SymmetricFormMatrix.random(DegreeType(d, delta, degrees), field, seed=2)
+    # the largest source twist l_j is 4 here, so m = 5 already fills every
+    # block; the rank path over Q runs on Fractions and would take about
+    # 100 s up to m = 8, so Q stops at 5
+    twists = range(-3, 6 if field is QQ else 9)
+    for pres in (surface_presentation(matrix), plane_section_presentation(matrix, seed=2)):
+        table = cohomology_table(pres, twists)
+        assert [r.m for r in table.rows] == list(twists)
+        for row in table.rows:
+            assert row.h0 == hilbert_function_coker(pres, row.m), (pres.ring.nvars, row.m)
+            assert row.chi == chi_from_resolution(pres, row.m)
+
+
+def equal_rows_matrix():
+    """A (0,2,2) quartic matrix whose index 1 copies index 2, so det == 0."""
+    template = matrix_of(DegreeType(4, 0, (0, 2, 2)))
+    e = template.entries
+    rows = [list(r) for r in e]
+    for j in range(3):
+        rows[1][j] = rows[j][1] = e[2][j]
+    rows[1][1] = e[2][2]
+    return SymmetricFormMatrix.from_rows(template.degree_type, template.ring, rows)
+
+
+def count_rank_path_twists(monkeypatch):
+    seen = []
+    rank_path = cohomology.hilbert_function_coker
+
+    def counted(pres, m):
+        seen.append(m)
+        return rank_path(pres, m)
+
+    monkeypatch.setattr(cohomology, "hilbert_function_coker", counted)
+    return seen
+
+
+def test_a_degenerate_matrix_takes_the_rank_path_at_every_twist(monkeypatch):
+    matrix = equal_rows_matrix()
+    seen = count_rank_path_twists(monkeypatch)
+    table = cohomology_table(surface_presentation(matrix), range(-2, 6))
+    assert seen == list(range(-2, 6))
+    # the two equal rows leave a kernel from degree l_j = 3 on: the
+    # cokernel outgrows its Euler characteristic
+    assert [(r.m, r.h0, r.chi) for r in table.rows[-3:]] == [(3, 19, 18), (4, 36, 32), (5, 60, 50)]
+
+
+def test_a_zero_at_the_certificate_point_takes_the_rank_path(monkeypatch):
+    matrix = plane_section_presentation(matrix_of(DegreeType(4, 0, (2, 2))), seed=1)
+    twists = range(-2, 5)
+    certified = cohomology_table(matrix, twists)
+    # every entry has positive degree, so det(phi) vanishes at the origin
+    # although the section's determinant is a nonzero quartic
+    assert determinant(matrix)
+    points = []
+
+    def origin(field, length, seed, *tags):
+        points.append((length, seed, tags))
+        return (field.zero,) * length
+
+    monkeypatch.setattr(cohomology, "random_point", origin)
+    seen = count_rank_path_twists(monkeypatch)
+    assert cohomology_table(matrix, twists) == certified
+    assert points == [(3, 0, ("injective",))]
+    assert seen == list(twists)

@@ -11,6 +11,7 @@ on the 4 x 3 map of every seeded plane section.
 
 import pytest
 
+from symmetroids import polynomials as polynomials_module
 from symmetroids.cohomology import plane_section_presentation
 from symmetroids.fields import QQ, PrimeField
 from symmetroids.matrices import DegreeType, SymmetricFormMatrix
@@ -149,3 +150,24 @@ def test_maps_without_full_column_rank_are_rejected():
         f.linear_change([[1, 0, 1], [0, 1, 1], [2, 3, 5], [1, 1, 2]])
     with pytest.raises(ValueError, match="full column rank"):
         f.linear_change([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_a_matrix_move_checks_its_map_once(monkeypatch):
+    matrix = SymmetricFormMatrix.random(DegreeType(6, 1, (1,) * 6), F31991, seed=1)
+    chart = random_invertible_matrix(F31991, 4, 1, "chart-a")
+    per_entry = [[e.linear_change(chart) for e in row] for row in matrix.entries]
+    checks = []
+    rank = polynomials_module.rank_over_field
+
+    def counted(rows, field):
+        checks.append(len(rows))
+        return rank(rows, field)
+
+    monkeypatch.setattr(polynomials_module, "rank_over_field", counted)
+    moved = matrix.linear_change(chart)
+    # one rank check for the 21 entries of the upper triangle
+    assert checks == [4]
+    assert [list(row) for row in moved.entries] == per_entry
+    with pytest.raises(ValueError, match="full column rank"):
+        matrix.linear_change([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 0]])  # rank 2
+    assert checks == [4, 4]
