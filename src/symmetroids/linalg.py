@@ -39,8 +39,10 @@ re-stacked and nothing is back-substituted, since the pivots are all
 the callers need.  Once every column is a pivot, the remaining rows
 are not read.
 
-The arithmetic runs in float64, on BLAS, whenever a dot product of n
-residues cannot leave the range where float64 holds integers exactly:
+The residues and every reduction, row scaling and column clear are
+int64; float64 carries only the chain products, on BLAS.  That split
+is exact whenever a dot product of n residues cannot leave the range
+where float64 holds integers exactly:
 
     n * (p - 1)^2 + p < 2^53,   n = min(rows, cols).
 
@@ -48,12 +50,15 @@ A panel entry is not reduced mod p between the chain steps and the
 in-panel loop; only the factors (the pivot columns) are.  Each step
 subtracts at most r_k (p - 1)^2 from it, where r_k is the number of
 pivots that step or in-panel pivot adds, and those numbers sum to at
-most the rank, which is at most n.  So every entry stays within
-n (p - 1)^2 + p of zero.  For p = 31991 the bound holds for n up to
-about 8.8 million.  Above it the same code runs on numpy object arrays
-of Python ints, so it is exact for every prime that `PrimeField`
-accepts.  The characteristic polynomial makes
-the same choice with n the matrix size.
+most the rank, which is at most n.  So every entry, and every partial
+sum of a product, stays within n (p - 1)^2 + p of zero: float64 holds
+each product and each difference exactly, and the int64 entries are
+far from overflow.  The reductions run in int64 because numpy's
+integer remainder is several times faster than its float64 one.  For
+p = 31991 the bound holds for n up to about 8.8 million.  Above it the
+same code runs on numpy object arrays of Python ints, so it is exact
+for every prime that `PrimeField` accepts.  The characteristic
+polynomial makes the same choice with n the matrix size, in float64.
 
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence,
 which divides by 1..n and therefore needs p > n.  That matches its one
@@ -87,28 +92,36 @@ def _forward_chain(matrix, p: int):
     (positions, keep, rows): `positions` are its pivot columns and `keep`
     the mask of the other ones, both within the columns that were still
     free before it, and `rows` are its pivot rows on the kept columns,
-    reduced mod p (on `positions` they are the identity).  The input is
-    read one panel at a time and never modified or copied whole.
+    reduced mod p and held in the dtype of the products (on `positions`
+    they are the identity).  Panels are int64, or object past the
+    bound.  The input is read one panel at a time and never modified or
+    copied whole.
     """
     a = np.asarray(matrix)
     rows, cols = a.shape
-    dtype = _exact_dtype(min(rows, cols), p)
+    product = _exact_dtype(min(rows, cols), p)
+    dtype = np.int64 if product is np.float64 else object
     pivots: "list[tuple[int, int]]" = []
     free = np.arange(cols)
     chain = []
     for start in range(0, rows, PANEL_ROWS):
         if not free.size:
             break
-        block = (a[start : start + PANEL_ROWS] % p).astype(dtype)
+        block = (a[start : start + PANEL_ROWS] % p).astype(dtype, copy=False)
         for positions, keep, reduced in chain:
-            block = block[:, keep] - (block[:, positions] % p) @ reduced
+            factors = (block[:, positions] % p).astype(product, copy=False)
+            block = block[:, keep]
+            # the difference is an integer within the bound, so float64
+            # computes it exactly and the cast back to int64 loses nothing
+            np.subtract(block, factors @ reduced, out=block, casting="unsafe")
         found = _echelonize_panel(block, p)
         if not found:
             continue
         positions = [j for _, j in found]
         keep = np.ones(free.size, dtype=bool)
         keep[positions] = False
-        chain.append((positions, keep, block[[i for i, _ in found]][:, keep] % p))
+        reduced = block[[i for i, _ in found]][:, keep] % p
+        chain.append((positions, keep, reduced.astype(product, copy=False)))
         pivots.extend((start + i, int(free[j])) for i, j in found)
         free = free[keep]
     return pivots, chain
@@ -119,10 +132,11 @@ def _echelonize_panel(block: np.ndarray, p: int) -> "list[tuple[int, int]]":
 
     Each pivot row is scaled to a leading 1 and its column is cleared
     from every other panel row, so the pivot rows come out reduced
-    against each other.  Only a row about to be used and the pivot
+    against each other.  All of it is integer arithmetic in the panel's
+    dtype, int64 or object.  Only a row about to be used and the pivot
     column are reduced mod p on the way; every other entry drops by at
-    most (p - 1)^2 per pivot, which the caller's dtype bound allows, and
-    the caller reduces the pivot rows it keeps.
+    most (p - 1)^2 per pivot, which the caller's bound allows, and the
+    caller reduces the pivot rows it keeps.
     """
     found = []
     for i in range(len(block)):

@@ -84,7 +84,7 @@ def _row_count(degrees, nvars: int, M: int) -> int:
     return sum(comb(nvars + M - d, nvars) for d in degrees if d <= M)
 
 
-def _macaulay_matrix(generators, nvars: int, M: int, field) -> np.ndarray:
+def _macaulay_matrix(generators, degrees, nvars: int, M: int, field) -> np.ndarray:
     """A_M in elimination order: the multiples x^a * g_i of degree <= M.
 
     Rows run by ascending total degree of x^a * g_i, then by generator,
@@ -93,16 +93,17 @@ def _macaulay_matrix(generators, nvars: int, M: int, field) -> np.ndarray:
     grevlex, so for every m those of degree > m lead.  Each g_i is one
     `shift_positions` lookup and one scatter straight into A_M.
     Prime-field entries are int64, rational ones Fractions in an object
-    array.
+    array.  `degrees` are the generators' total degrees, which the caller
+    computes once.
     """
     ncols = comb(nvars + M, M)
-    gens = [g for g in generators if g.degree() <= M]
+    gens = [(g, d) for g, d in zip(generators, degrees) if d <= M]
     # row_index[i][k]: the row of x^a * g_i for the k-th multiplier x^a
-    row_index = [np.empty(comb(nvars + M - g.degree(), nvars), dtype=np.intp) for g in gens]
+    row_index = [np.empty(comb(nvars + M - d, nvars), dtype=np.intp) for _, d in gens]
     row = 0
     for total in range(M + 1):
-        for g, rows in zip(gens, row_index):
-            s = total - g.degree()
+        for (_, d), rows in zip(gens, row_index):
+            s = total - d
             if s < 0:
                 continue
             # the multipliers of degree s follow the C(nvars + s - 1, nvars) of lower degree
@@ -111,8 +112,8 @@ def _macaulay_matrix(generators, nvars: int, M: int, field) -> np.ndarray:
             row += count
     dtype = np.int64 if isinstance(field, PrimeField) else object
     a = np.zeros((row, ncols), dtype=dtype)
-    for g, rows in zip(gens, row_index):
-        shifts = monomial_array(nvars, M - g.degree(), up_to=True)
+    for (g, d), rows in zip(gens, row_index):
+        shifts = monomial_array(nvars, M - d, up_to=True)
         positions, coefficients = shift_positions(g, shifts, M, up_to=True)
         a[rows, ncols - 1 - positions] = coefficients[:, None]
     return a
@@ -124,13 +125,13 @@ class _Elimination:
     A measurement with M > top eliminates A_M in its place.
     """
 
-    def __init__(self, generators, nvars: int, field, top: int):
-        self.generators, self.nvars, self.field = generators, nvars, field
-        self.degrees = [g.degree() for g in generators]
+    def __init__(self, generators, degrees, nvars: int, field, top: int):
+        self.generators, self.degrees = generators, degrees
+        self.nvars, self.field = nvars, field
         self._eliminate(top)
 
     def _eliminate(self, top: int) -> None:
-        a = _macaulay_matrix(self.generators, self.nvars, top, self.field)
+        a = _macaulay_matrix(self.generators, self.degrees, self.nvars, top, self.field)
         if isinstance(self.field, PrimeField):
             pivots = pivots_mod_p(a, self.field.p)
         else:
@@ -176,10 +177,11 @@ def macaulay_colength(generators: "list[Polynomial]") -> "int | None":
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    if any(g.degree() == 0 for g in gens):
+    degrees = [g.degree() for g in gens]
+    if 0 in degrees:
         return 0
-    degree_cap = max(3 * max(g.degree() for g in gens), 2)
-    elimination = _Elimination(gens, ring.nvars, ring.field, degree_cap + 1)
+    degree_cap = max(3 * max(degrees), 2)
+    elimination = _Elimination(gens, degrees, ring.nvars, ring.field, degree_cap + 1)
     previous = _settled_dimension(elimination, degree_cap - 1)
     for step in range(ESCALATIONS + 1):
         current = _settled_dimension(elimination, degree_cap + step)

@@ -190,8 +190,9 @@ def test_macaulay_matrix_matches_term_by_term_fill(ideal, degrees):
     ring = gens[0].ring
     # below the largest generator degree some generators have no rows
     assert min(degrees) < max(g.degree() for g in gens)
+    generator_degrees = [g.degree() for g in gens]
     for M in degrees:
-        got = macaulay._macaulay_matrix(gens, ring.nvars, M, ring.field)
+        got = macaulay._macaulay_matrix(gens, generator_degrees, ring.nvars, M, ring.field)
         want = reference_macaulay(gens, ring.nvars, M, ring.field)
         assert_same_matrix(got, in_elimination_order(gens, ring.nvars, M, want))
 
@@ -216,8 +217,9 @@ def test_every_dimension_reads_off_one_pivot_list(ideal):
     gens = ideal()
     ring = gens[0].ring
     n, field = ring.nvars, ring.field
-    top = 3 * max(g.degree() for g in gens) + 1
-    elimination = macaulay._Elimination(gens, n, field, top)
+    generator_degrees = [g.degree() for g in gens]
+    top = 3 * max(generator_degrees) + 1
+    elimination = macaulay._Elimination(gens, generator_degrees, n, field, top)
     for M in range(top + 1):
         a = reference_macaulay(gens, n, M, field)
         rank_full = reference_rank(a, field)

@@ -118,8 +118,8 @@ def test_rank_bounds(rows):
 
 # Dot products of n residues stay exact in float64 while
 # n * (p - 1)^2 + p < 2^53.  For n = 72 these two primes sit on either
-# side of that bound, so the same shapes run once in float64 with sums
-# just under 2^53 and once on Python ints.
+# side of that bound, so the same shapes run once on int64 panels with
+# float64 products and entries just under 2^53, and once on Python ints.
 BOUND_N = 72
 PRIME_BELOW_BOUND = 11184799
 PRIME_ABOVE_BOUND = 11184829

@@ -8,11 +8,12 @@ consistency check rather than a tautology.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetroids import macaulay
+from symmetroids import linalg, macaulay
 from symmetroids.fields import QQ, PrimeField
 from symmetroids.groebner import Ideal
 from symmetroids.macaulay import macaulay_colength
@@ -20,7 +21,7 @@ from symmetroids.matrices import surface_from_matrix
 from symmetroids.nodes import affine_jacobian_ideal
 from symmetroids.polynomials import Polynomial, Ring, parse_polynomial
 from symmetroids.randomness import random_invertible_matrix
-from symmetroids.scenarios import type_matrix
+from symmetroids.scenarios import load_fixture_surface, load_manifest, type_matrix
 
 F = PrimeField(31991)
 R2 = Ring(2, F)
@@ -117,9 +118,9 @@ def count_eliminations(monkeypatch):
     built, shapes = [], []
     build, kernel = macaulay._macaulay_matrix, macaulay.pivots_mod_p
 
-    def counting_build(generators, nvars, M, field):
+    def counting_build(generators, degrees, nvars, M, field):
         built.append(M)
-        return build(generators, nvars, M, field)
+        return build(generators, degrees, nvars, M, field)
 
     def counting_kernel(a, p):
         shapes.append(a.shape)
@@ -163,15 +164,55 @@ def test_the_cap_is_three_times_the_largest_generator_degree(monkeypatch):
     assert shapes == [(220 + 4 * 286, 560)]
 
 
+def cayley_chart_partials():
+    """The chart-a partials of the Cayley cubic over F_7, first manifest seed."""
+    cubic = load_fixture_surface("cayley_cubic.json")
+    seed = load_manifest()["scenarios"]["cayley-cubic"]["seeds"][0]
+    chart = random_invertible_matrix(cubic.ring.field, 4, seed, "chart-a")
+    return list(affine_jacobian_ideal(cubic, chart).generators)
+
+
+@pytest.mark.parametrize(
+    "ideal, p, shape",
+    [
+        (cayley_chart_partials, 7, (4 * 56, 120)),
+        (lambda: quartic_chart_partials()[0], 31991, (4 * 120, 286)),
+    ],
+    ids=["cayley-A7", "(2,2)-A10"],
+)
+def test_blocked_kernel_finds_the_plain_pivots_on_macaulay_matrices(ideal, p, shape):
+    # the random and planted matrices of test_linalg are dense or evenly
+    # sparse; the oracle's A_{cap+1} is sparse, degree-ordered and far
+    # from full rank, and both eliminations must agree on it pair for pair
+    generators = ideal()
+    ring = generators[0].ring
+    assert ring.field.p == p
+    degrees = [g.degree() for g in generators]
+    top = 3 * max(degrees) + 1
+    a = macaulay._macaulay_matrix(generators, degrees, ring.nvars, top, ring.field)
+    assert a.shape == shape
+    before = a.copy()
+    pivots = linalg.pivots_mod_p(a, p)
+    assert np.array_equal(a, before)
+    assert pivots == linalg.pivots_det_over_field(a.tolist(), ring.field)[0]
+    assert 0 < len(pivots) < shape[1]
+
+
 @pytest.mark.parametrize(
     "d, delta, degrees, seed, t",
-    [(5, 0, (1, 1, 3), 1, 16), (5, 0, (1, 1, 3), 2, 16), (6, 1, (1,) * 6, 1, 35)],
-    ids=["(1,1,3)-s1", "(1,1,3)-s2", "6x6-s1"],
+    [
+        (5, 0, (1, 1, 3), 1, 16),
+        (5, 0, (1, 1, 3), 2, 16),
+        (6, 1, (1,) * 6, 1, 35),
+        (7, 0, (1,) * 7, 1, 56),
+    ],
+    ids=["(1,1,3)-s1", "(1,1,3)-s2", "6x6-s1", "7x7-s1"],
 )
-def test_oracle_counts_the_nodes_of_the_quintic_and_sextic_types(d, delta, degrees, seed, t):
+def test_oracle_counts_the_nodes_of_the_other_certify_types(d, delta, degrees, seed, t):
     # the acceptance suite's oracle criterion covers the quartic, cubic and
     # (1,1,1,1,1) ideals; these are the other types certify runs, with the
-    # pinned t = 16 for (1,1,3) and t = C(7, 3) for the 6x6 linear symmetroid
+    # pinned t = 16 for (1,1,3) and t = C(n + 1, 3) nodes for the n x n
+    # linear symmetroids, 35 for the 6x6 and 56 for the 7x7
     spec = surface_from_matrix(type_matrix(d, delta, degrees, F, seed))
     chart = random_invertible_matrix(F, 4, seed, "chart-a")
     assert macaulay_colength(list(affine_jacobian_ideal(spec, chart).generators)) == t
