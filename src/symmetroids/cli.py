@@ -227,7 +227,7 @@ def cmd_nodes(args) -> int:
             spec, seed=args.seed, audit=not args.no_audit, pair_budget=args.pair_budget
         )
         if matrix is not None:
-            rank_drop_check(matrix, report, pair_budget=args.pair_budget)
+            rank_drop_check(matrix, report)
     except UnsupportedFieldError as exc:
         return _fail(EXIT_USAGE, f"nodes: {exc}")
     except DegenerateSurfaceError as exc:

@@ -298,11 +298,11 @@ def minors_ideal_generators(matrix: SymmetricFormMatrix, size: int) -> "list[Pol
     minor(I, J) equals minor(J, I) for a symmetric matrix, so only index
     pairs with I <= J lexicographically are emitted; identically zero
     minors are dropped.  Order of the output is the (I, J) lex order,
-    hence deterministic.
+    hence deterministic.  Size 0 gives the one empty minor, 1.
     """
     h = matrix.h
-    if not 1 <= size <= h:
-        raise ValueError(f"minor size {size} out of range 1..{h}")
+    if not 0 <= size <= h:
+        raise ValueError(f"minor size {size} out of range 0..{h}")
     out = []
     subsets = list(combinations(range(h), size))
     for I in subsets:

@@ -17,38 +17,45 @@ so `t` equals the node count exactly when the singular scheme is
 reduced; the squarefree certificate from the multiplication matrix of a
 random linear form supplies that proof.
 
-For a surface that comes from a symmetric matrix phi, the same chart is
-reused to compare the Jacobian ideal J of det(phi) with the ideal M of
-(h-1)-minors of phi, whose zeros are the locus where phi drops to rank
-h-2.  J is always contained in M: Jacobi's formula writes each partial
-of det(phi) as tr(adj(phi) * d(phi)/dx_k), the entries of adj(phi) are
-signed (h-1)-minors, Laplace expansion puts det(phi) itself in M, and
-the chart change and dehomogenization are ring maps.  This is an
-identity over Z, so it holds in every characteristic.  Given J in M,
-"equal colength and equal radicals" holds exactly when M = J, which in
-turn holds exactly when M has the colength t of J: a zero-dimensional
-ideal strictly larger than J has a strictly smaller colength.  So one
-grevlex basis of M and its staircase count tie the node set to the
-rank-drop locus.
+For a surface that comes from a symmetric matrix phi, the report keeps
+its chart-a basis of the Jacobian ideal J of f, and the rank-drop check
+reads it to compare J with the ideal M of (h-1)-minors of phi, whose
+zeros are the locus where phi drops to rank h-2.  When det(phi) is a
+nonzero scalar multiple of f, J is contained in M: Jacobi's formula
+writes each partial of det(phi) as tr(adj(phi) * d(phi)/dx_k), the
+entries of adj(phi) are signed (h-1)-minors, Laplace expansion puts
+det(phi) itself in M, and the chart change and dehomogenization are ring
+maps.  This is an identity over Z, so it holds in every characteristic.
+Given J in M, "equal colength and equal radicals" holds exactly when
+M = J, and that holds exactly when M is in J: when every minor, moved to
+chart a and dehomogenized, has normal form 0 modulo J's basis.  So the
+check is one determinant and one normal form per minor; it builds no
+basis of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import PrimeField
 from .groebner import GroebnerBasis, Ideal, squarefree_certificate
 
-# Unused here; they stay bound in this module because the benchmark's
-# tracer wraps nodes.radical_membership and nodes.determinant by name.
+# Unused here; it stays bound in this module because the benchmark's
+# tracer wraps nodes.radical_membership by name.
 from .groebner import radical_membership  # noqa: F401
 from .linalg import rank_over_field
-from .matrices import determinant  # noqa: F401
-from .matrices import AMBIENT_VARS, SurfaceSpec, SymmetricFormMatrix, minors_ideal_generators
-from .polynomials import Ring
+from .matrices import (
+    AMBIENT_VARS,
+    DegenerateMatrixError,
+    SurfaceSpec,
+    SymmetricFormMatrix,
+    determinant,
+    minors_ideal_generators,
+)
+from .polynomials import Polynomial, Ring
 from .randomness import random_invertible_matrix
 
 
@@ -64,14 +71,20 @@ class UnsupportedFieldError(ValueError):
     """The node pipeline runs over prime fields only."""
 
 
-@dataclass
+@dataclasses.dataclass
 class NodeReport:
-    """Outcome of a node count, JSON-serializable for the CLI."""
+    """Outcome of a node count, JSON-serializable for the CLI.
+
+    `surface` and `basis` (the chart-a basis of its Jacobian ideal) are
+    handed on to the rank-drop check; the JSON leaves them out.
+    """
 
     t: int
     reduced_certified: bool
     per_chart: "list[dict]"
     seed: int
+    surface: SurfaceSpec = dataclasses.field(compare=False, repr=False)
+    basis: GroebnerBasis = dataclasses.field(compare=False, repr=False)
     rank_drop_consistent: "bool | None" = None
 
     def to_json_dict(self) -> dict:
@@ -149,37 +162,46 @@ def count_nodes(
         reduced_certified=certified,
         per_chart=per_chart,
         seed=seed,
+        surface=spec,
+        basis=first_basis,
     )
 
 
-def rank_drop_check(
-    matrix: SymmetricFormMatrix,
-    report: NodeReport,
-    pair_budget: "int | None" = None,
-) -> bool:
+def rank_drop_check(matrix: SymmetricFormMatrix, report: NodeReport) -> bool:
     """Tie the Jacobian scheme of det(phi) to the rank <= h-2 locus of phi.
 
-    In the chart the report used, the ideal M of (h-1)-minors always
-    contains the Jacobian ideal J of det(phi) (Jacobi's formula and
-    Laplace expansion, see the module docstring).  Equal colength plus
-    each ideal's generators in the other's radical therefore holds
-    exactly when M = J, and for J in M that is exactly when M has
-    colength t, the chart-a colength of J.  So the check is one grevlex
-    basis of M and its staircase count; no basis of J is needed.  The
-    verdict is stored on the report and returned.
+    The verdict is M = J in the report's chart a, where M is the ideal of
+    (h-1)-minors of phi and J the Jacobian ideal of the report's surface
+    f.  A det(phi) that is zero or not a scalar multiple of f reads False.
+    Otherwise J is in M (Jacobi's formula and Laplace expansion, see the
+    module docstring), so M = J exactly when every minor reduces to 0
+    modulo the report's basis of J; for J in M that is the same as M
+    having colength t.  The verdict is stored on the report and returned.
     """
     field = matrix.field
     if not isinstance(field, PrimeField):
         raise UnsupportedFieldError("rank-drop checks run over a prime field")
-    transform = random_invertible_matrix(field, AMBIENT_VARS, report.seed, "chart-a")
-    # Change coordinates once on the low-degree entries, not on each minor.
-    minors = minors_ideal_generators(matrix.linear_change(transform), matrix.h - 1)
-    ring3 = Ring(AMBIENT_VARS - 1, field)
-    minors_ideal = Ideal(ring3, [m.dehomogenize(AMBIENT_VARS - 1) for m in minors])
-    minors_basis = minors_ideal.groebner_basis(pair_budget=pair_budget)
-    consistent = minors_basis.colength() == report.t
+    try:
+        consistent = _is_scalar_multiple(determinant(matrix), report.surface.f)
+    except DegenerateMatrixError:
+        consistent = False
+    if consistent:
+        transform = random_invertible_matrix(field, AMBIENT_VARS, report.seed, "chart-a")
+        # Change coordinates once on the low-degree entries, not on each minor.
+        minors = minors_ideal_generators(matrix.linear_change(transform), matrix.h - 1)
+        consistent = not any(
+            report.basis.normal_form(m.dehomogenize(AMBIENT_VARS - 1)) for m in minors
+        )
     report.rank_drop_consistent = consistent
     return consistent
+
+
+def _is_scalar_multiple(g: Polynomial, f: Polynomial) -> bool:
+    """g == c * f for a nonzero constant c; f and g are nonzero."""
+    field = f.ring.field
+    mono, coeff = next(iter(f.terms.items()))
+    c = g.terms.get(mono)
+    return c is not None and g == f.scale(field.mul(c, field.inv(coeff)))
 
 
 def hessian_rank_at_point(spec: SurfaceSpec, point) -> int:

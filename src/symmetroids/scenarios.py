@@ -152,6 +152,21 @@ def type_matrix(
     return SymmetricFormMatrix.random(dt, field, seed=seed)
 
 
+def type_seed_case(
+    d: int,
+    delta: int,
+    degrees,
+    field: Field,
+    seed: int,
+    pair_budget: "int | None" = None,
+) -> "tuple[SymmetricFormMatrix, NodeReport]":
+    """One seeded matrix and its count_nodes + rank_drop_check report."""
+    matrix = type_matrix(d, delta, degrees, field, seed)
+    report = count_nodes(surface_from_matrix(matrix), seed=seed, pair_budget=pair_budget)
+    rank_drop_check(matrix, report)
+    return matrix, report
+
+
 def type_seed_report(
     d: int,
     delta: int,
@@ -161,10 +176,7 @@ def type_seed_report(
     pair_budget: "int | None" = None,
 ) -> NodeReport:
     """count_nodes + rank_drop_check for one seeded matrix."""
-    matrix = type_matrix(d, delta, degrees, field, seed)
-    report = count_nodes(surface_from_matrix(matrix), seed=seed, pair_budget=pair_budget)
-    rank_drop_check(matrix, report, pair_budget=pair_budget)
-    return report
+    return type_seed_case(d, delta, degrees, field, seed, pair_budget)[1]
 
 
 def _sweep(task, items, workers: int) -> list:
@@ -206,10 +218,11 @@ def _per_seed_check(name: str, expected, reports):
 def _run_degree_type(entry: dict, field: Field, workers: int, pair_budget) -> list:
     d, delta, degrees = entry["d"], entry["delta"], tuple(entry["degrees"])
     seeds = entry["seeds"]
-    task = partial(type_seed_report, d, delta, degrees, field, pair_budget=pair_budget)
-    reports = _sweep(task, seeds, workers)
+    task = partial(type_seed_case, d, delta, degrees, field, pair_budget=pair_budget)
+    cases = _sweep(task, seeds, workers)
+    reports = [report for _, report in cases]
 
-    matrix0 = type_matrix(d, delta, degrees, field, seeds[0])
+    matrix0 = cases[0][0]
     lo, hi = entry["duality_range"]
     table0 = cohomology_table(
         plane_section_presentation(matrix0, seed=seeds[0]), range(lo, hi + 1)

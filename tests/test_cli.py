@@ -157,6 +157,40 @@ def test_nodes_on_built_matrix(tmp_path, capsys):
     assert payload["rank_drop_consistent"] is True
 
 
+def test_nodes_on_a_1x1_matrix_file(tmp_path, capsys):
+    # h = 1: the (h-1)-minors are the one 0x0 minor, the unit ideal, and
+    # a generic quartic is smooth, so its Jacobian ideal is the unit too
+    matrix_file = build_matrix_file(tmp_path, "(4)", 4, 0)
+    capsys.readouterr()
+    code, out, err = run(capsys, "nodes", str(matrix_file), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["t"] == 0
+    assert payload["rank_drop_consistent"] is True
+
+
+# sha256 of `nodes <file> --format json --seed 1` on the seed-1 matrix of
+# each manifest degree type and of the 6x6 linear symmetroid.
+PINNED_NODES_JSON = {
+    ("(2,2)", 4, 0): "e129f957b2343cd8be814d10ae70a56aac8cedae4f5a8a5a335f20f24dec9af3",
+    ("(1,3)", 4, 1): "1fa44108ea018419897716452984f8cb0468017e1730d721a88c3b992b7dd4e9",
+    ("(1,1,1,1)", 4, 1): "b9ea350ed17444f4234f653672a5f520cdaa2a94be07366e30b541bf80578db1",
+    ("(1,1,3)", 5, 0): "be08ad8b603a22e982fb7362a48a487c6bc49968050095747b20184b5fb6ae15",
+    ("(1,1,1,1,1)", 5, 0): "33c0a40d354cb8850a1204e2946a794d909aca99ce4e4792bc9dc8ddebfc605f",
+    ("(1,1,1,1,1,1)", 6, 1): "42b9d213ef46ca9ef5d9b69da928a120f06a172a5a371901da528d01e4020802",
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_NODES_JSON), ids=lambda s: s[0])
+def test_nodes_json_report_is_pinned(tmp_path, capsys, spec):
+    type_str, d, delta = spec
+    matrix_file = build_matrix_file(tmp_path, type_str, d, delta)
+    capsys.readouterr()
+    code, out, _ = run(capsys, "nodes", str(matrix_file), "--format", "json", "--seed", "1")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NODES_JSON[spec]
+
+
 def test_nodes_report_file_and_one_liner(tmp_path, capsys):
     matrix_file = build_matrix_file(tmp_path, "(1,3)", 4, 1)
     report_file = tmp_path / "report.json"

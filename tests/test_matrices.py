@@ -186,6 +186,15 @@ def test_minors_deduplication():
         assert g.is_homogeneous() and g.homogeneous_degree() == 2
 
 
+def test_empty_minor_is_one():
+    # the 0x0 determinant: a 1x1 matrix's (h-1)-minors ideal is the unit ideal
+    m = SymmetricFormMatrix.random(DegreeType(4, 0, (4,)), F, seed=1)
+    assert minors_ideal_generators(m, 0) == [Polynomial.constant(m.ring, 1)]
+    for size in (-1, 2):
+        with pytest.raises(ValueError):
+            minors_ideal_generators(m, size)
+
+
 def test_congruence_det_identity_single():
     dt = DegreeType(4, 1, (1, 3))
     m = SymmetricFormMatrix.random(dt, F, seed=5)

@@ -34,7 +34,7 @@ from symmetroids.nodes import (
     hessian_rank_at_point,
     rank_drop_check,
 )
-from symmetroids.polynomials import Ring, parse_polynomial
+from symmetroids.polynomials import Polynomial, Ring, parse_polynomial
 from symmetroids.randomness import random_invertible_matrix
 
 F = PrimeField(DEFAULT_PRIME)
@@ -220,8 +220,55 @@ def test_rank_drop_rejects_foreign_matrix():
     assert not rank_drop_check(m13, report)
 
 
+def seed_one_report(dtype):
+    return count_nodes(surface_from_matrix(SymmetricFormMatrix.random(dtype, F, seed=1)), seed=1)
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [DegreeType(4, 0, (2, 2)), DegreeType(4, 1, (1, 1, 1, 1)), DegreeType(5, 0, (1, 1, 3))],
+    ids=str,
+)
+def test_rank_drop_rejects_another_seed_of_the_same_type(dtype):
+    report = seed_one_report(dtype)
+    assert rank_drop_check(SymmetricFormMatrix.random(dtype, F, seed=2), report) is False
+    assert report.rank_drop_consistent is False
+
+
+def test_rank_drop_rejects_the_zero_matrix():
+    # every minor of the zero matrix is 0, which lies in any J: only the
+    # determinant guard can say False here
+    dtype = DegreeType(4, 0, (2, 2))
+    report = seed_one_report(dtype)
+    zero = Polynomial.zero(R4)
+    matrix = SymmetricFormMatrix.from_rows(dtype, R4, [[zero, zero], [zero, zero]])
+    assert rank_drop_check(matrix, report) is False
+
+
+def test_rank_drop_accepts_a_scalar_multiple_of_the_determinant():
+    matrix = SymmetricFormMatrix.random(DegreeType(4, 0, (2, 2)), F, seed=1)
+    report = count_nodes(SurfaceSpec(surface_from_matrix(matrix).f.scale(7), 4), seed=1)
+    assert report.t == 8
+    assert rank_drop_check(matrix, report) is True
+
+
+def test_rank_drop_builds_no_basis_of_its_own(monkeypatch):
+    calls = []
+    basis_of = Ideal.groebner_basis
+
+    def counted(ideal, **kwargs):
+        calls.append(ideal)
+        return basis_of(ideal, **kwargs)
+
+    monkeypatch.setattr(Ideal, "groebner_basis", counted)
+    matrix = SymmetricFormMatrix.random(DegreeType(5, 0, (1, 1, 3)), F, seed=1)
+    report = count_nodes(surface_from_matrix(matrix), seed=1, audit=False)
+    assert rank_drop_check(matrix, report) is True
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
-# Rank-drop check by the colength of the minors ideal
+# Rank-drop check against the minors ideal
 
 RANK_DROP_TYPES = [
     (DegreeType(4, 0, (2, 2)), 8),
@@ -245,7 +292,7 @@ def chart_a_minors_basis(matrix, seed):
 @pytest.mark.parametrize("dtype,t", RANK_DROP_TYPES, ids=lambda v: str(v))
 def test_jacobian_ideal_lies_in_minors_ideal(dtype, t, seed):
     # Jacobi's formula and Laplace expansion put J inside M, which is
-    # what turns the rank-drop check into a colength comparison
+    # what turns the rank-drop check into the membership test M in J
     matrix = SymmetricFormMatrix.random(dtype, F, seed=seed)
     minors_basis = chart_a_minors_basis(matrix, seed)
     transform = random_invertible_matrix(F, 4, seed, "chart-a")
@@ -261,6 +308,34 @@ def test_rank_drop_verdicts_pinned(dtype, t, seed):
     assert report.t == t
     assert rank_drop_check(matrix, report) is True
     assert report.rank_drop_consistent is True
+
+
+VERDICT_CASES = [
+    (dtype, seed)
+    for dtype in [
+        DegreeType(4, 0, (2, 2)),
+        DegreeType(4, 1, (1, 3)),
+        DegreeType(4, 1, (1, 1, 1, 1)),
+        DegreeType(5, 0, (1, 1, 3)),
+        DegreeType(5, 0, (1, 1, 1, 1, 1)),
+        DegreeType(4, 1, (-1, 1, 1, 3)),
+        DegreeType(6, 0, (2, 2, 2)),
+    ]
+    for seed in range(1, 6)
+] + [(DegreeType(6, 1, (1,) * 6), seed) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "dtype,seed", VERDICT_CASES, ids=[f"{d}-s{s}" for d, s in VERDICT_CASES]
+)
+def test_rank_drop_verdict_matches_the_minors_colength(dtype, seed):
+    # the reference verdict: the chart-a basis of M has colength t,
+    # which for J in M says M = J
+    matrix = SymmetricFormMatrix.random(dtype, F, seed=seed)
+    report = count_nodes(surface_from_matrix(matrix), seed=seed)
+    by_colength = chart_a_minors_basis(matrix, seed).colength() == report.t
+    assert rank_drop_check(matrix, report) is by_colength
+    assert by_colength
 
 
 # ---------------------------------------------------------------------------
