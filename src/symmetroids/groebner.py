@@ -88,6 +88,9 @@ def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
     """Remainder of f modulo a list of monic (lead, tail) reducers."""
     if not fterms:
         return {}
+    # over F_p the arithmetic is inlined; p = 0 selects the field's
+    # methods, for Q
+    p = field.characteristic
     sub = field.sub
     mul = field.mul
     neg = field.neg
@@ -120,13 +123,13 @@ def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
             out[m] = c
             continue
         lm, tail = hit
-        q = tuple(y - x for x, y in zip(lm, m))
+        q = tuple([y - x for x, y in zip(lm, m)])
         shifted = any(q)
         for tm, tc in tail.items():
-            mono = tuple(x + y for x, y in zip(tm, q)) if shifted else tm
+            mono = tuple([x + y for x, y in zip(tm, q)]) if shifted else tm
             prev = work.get(mono)
             if prev is None:
-                val = neg(mul(c, tc))
+                val = -c * tc % p if p else neg(mul(c, tc))
                 if val:
                     work[mono] = val
                     hk = key_cache.get(mono)
@@ -135,7 +138,7 @@ def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
                         key_cache[mono] = hk
                     heapq.heappush(heap, (hk, mono))
             else:
-                val = sub(prev, mul(c, tc))
+                val = (prev - c * tc) % p if p else sub(prev, mul(c, tc))
                 if val:
                     work[mono] = val
                 else:
@@ -466,6 +469,24 @@ def multiplication_matrix(basis: GroebnerBasis, ell: Polynomial):
         for m, c in image.terms.items():
             matrix[index[m]][j] = c
     return matrix, staircase
+
+
+def colength_where_unit(basis: GroebnerBasis, ell: Polynomial) -> int:
+    """Dimension of the part of the quotient A on which ell is a unit.
+
+    A is the product of its local algebras A_P, one per point P of the
+    zero-dimensional scheme, and multiplication by a linear form ell is
+    invertible on A_P when ell(P) != 0 and nilpotent when ell(P) = 0.
+    So the characteristic polynomial of that multiplication has 0 as a
+    root of multiplicity sum of dim A_P over the zeros P of ell, and the
+    answer is the colength minus that multiplicity.  Over F_p with p
+    greater than the colength, which the characteristic polynomial needs.
+    """
+    matrix, staircase = multiplication_matrix(basis, ell)
+    if not staircase:
+        return 0
+    chi = char_poly_mod_p(np.array(matrix, dtype=np.int64), basis.ring.field.p)
+    return len(staircase) - next(k for k, c in enumerate(reversed(chi)) if c)
 
 
 def squarefree_certificate(basis: GroebnerBasis, seed: int) -> bool:

@@ -5,12 +5,32 @@ partials, and by the partials alone when the characteristic p does not
 divide d = deg f: Euler's relation d * f = sum_i x_i * d_i f then puts f
 in the ideal of its partials.  When p | d the relation says nothing about
 f, which stays in the Jacobian ideal.  After a random invertible
-coordinate change the singular points all land in the affine chart
-x3 = 1 (finitely many points cannot hit a random plane over a large
-field), so the count is the staircase colength of the dehomogenized
-Jacobian ideal in three variables.  Two independent random charts must
-agree before a count is reported; a mismatch means a singular point
-slipped to infinity and is a retryable fluke, not a result.
+coordinate change, chart a, the singular points all land in the affine
+chart x3 = 1 (finitely many points cannot hit a random plane over a large
+field), so the count is the staircase colength t of the dehomogenized
+Jacobian ideal in three variables.
+
+A second random chart b audits the count: a point that one chart sends
+to infinity makes the two colengths disagree, which is a retryable
+fluke, not a result.  Chart b needs no basis of its own once chart a is
+proved to see every singular point.  The Jacobian generators, restricted
+to chart a's plane at infinity x3 = 0, are forms in three variables; if
+they span every form of degree D = 3(d-2)+1 they have no common zero
+there, and for generic forms of degree d-1 they do (Macaulay's bound).
+Then t is the length of the whole singular scheme.  Chart b's
+coordinate x3 is a linear form l in chart a's coordinates, and chart b
+sees the part of the scheme where l does not vanish: its colength is t
+minus the multiplicity of 0 as a root of the characteristic polynomial
+of multiplication by l on chart a's quotient.  Both charts see one
+projective scheme, since a linear change of coordinates maps the ideal
+of the partials onto the ideal of the partials and f is kept in both
+charts or in neither, and local lengths do not depend on the chart.
+When the proof fails, or p <= t leaves the characteristic polynomial no
+room, chart b gets a Buchberger basis of its own.  Either way the
+result is the colength chart b's own basis would have, so a disagreement
+still raises ChartMismatchError.  The check on the Groebner engine
+itself is independent of both charts: the Macaulay rank oracle in
+macaulay.py recomputes colengths without division.
 
 The colength counts each singular point by its local algebra dimension,
 so `t` equals the node count exactly when the singular scheme is
@@ -40,13 +60,14 @@ import math
 
 import numpy as np
 
+from . import linalg
 from .fields import PrimeField
-from .groebner import GroebnerBasis, Ideal, squarefree_certificate
+from .groebner import GroebnerBasis, Ideal, colength_where_unit, squarefree_certificate
 
 # Unused here; it stays bound in this module because the benchmark's
 # tracer wraps nodes.radical_membership by name.
 from .groebner import radical_membership  # noqa: F401
-from .linalg import rank_over_field
+from .linalg import det_over_field, rank_over_field
 from .matrices import (
     AMBIENT_VARS,
     DegenerateMatrixError,
@@ -55,7 +76,7 @@ from .matrices import (
     determinant,
     minors_ideal_generators,
 )
-from .polynomials import Polynomial, Ring
+from .polynomials import Polynomial, Ring, monomial_array, shift_positions
 from .randomness import random_invertible_matrix
 
 
@@ -128,43 +149,105 @@ def count_nodes(
 ) -> NodeReport:
     """Colength of the Jacobian scheme in a generic chart, audited.
 
-    Raises DegenerateSurfaceError when the singular locus is positive
-    dimensional, ChartMismatchError when the audit chart disagrees
-    (retry with another seed), UnsupportedFieldError over Q.
+    Chart a's colength is read off a reduced basis of its Jacobian ideal.
+    The audit compares it with chart b's colength, which is read off
+    chart a's quotient when chart a provably sees every singular point
+    and p > t, and off a basis of chart b's own ideal otherwise (see the
+    module docstring).  Raises DegenerateSurfaceError when the singular
+    locus is positive dimensional, ChartMismatchError when the charts
+    disagree (retry with another seed), UnsupportedFieldError over Q.
     """
     field = spec.ring.field
     if not isinstance(field, PrimeField):
         raise UnsupportedFieldError("node counting runs over a prime field")
-    per_chart = []
-    first_basis: "GroebnerBasis | None" = None
-    tags = ["chart-a", "chart-b"] if audit else ["chart-a"]
-    counts = []
-    for tag in tags:
-        transform = random_invertible_matrix(field, AMBIENT_VARS, seed, tag)
-        ideal = affine_jacobian_ideal(spec, transform)
-        basis = ideal.groebner_basis(pair_budget=pair_budget)
-        colength = basis.colength()
-        if colength == math.inf:
-            raise DegenerateSurfaceError(
-                "singular locus is not zero-dimensional in a generic chart"
+    chart_a = random_invertible_matrix(field, AMBIENT_VARS, seed, "chart-a")
+    ideal = affine_jacobian_ideal(spec, chart_a)
+    basis, t = _basis_and_colength(ideal, pair_budget)
+    per_chart = [{"chart": "chart-a", "colength": t}]
+    if audit:
+        chart_b = random_invertible_matrix(field, AMBIENT_VARS, seed, "chart-b")
+        if field.p > t and _nothing_at_infinity(ideal, spec.d):
+            colength_b = colength_where_unit(basis, _chart_coordinate(chart_a, chart_b, ideal.ring))
+        else:
+            _, colength_b = _basis_and_colength(affine_jacobian_ideal(spec, chart_b), pair_budget)
+        per_chart.append({"chart": "chart-b", "colength": colength_b})
+        if colength_b != t:
+            raise ChartMismatchError(
+                f"chart colengths disagree: {[t, colength_b]}; retry with a different seed"
             )
-        per_chart.append({"chart": tag, "colength": int(colength)})
-        counts.append(int(colength))
-        if first_basis is None:
-            first_basis = basis
-    if len(set(counts)) > 1:
-        raise ChartMismatchError(
-            f"chart colengths disagree: {counts}; retry with a different seed"
-        )
-    certified = squarefree_certificate(first_basis, seed)
+    certified = squarefree_certificate(basis, seed)
     return NodeReport(
-        t=counts[0],
+        t=t,
         reduced_certified=certified,
         per_chart=per_chart,
         seed=seed,
         surface=spec,
-        basis=first_basis,
+        basis=basis,
     )
+
+
+def _basis_and_colength(ideal: Ideal, pair_budget: "int | None") -> "tuple[GroebnerBasis, int]":
+    basis = ideal.groebner_basis(pair_budget=pair_budget)
+    colength = basis.colength()
+    if colength == math.inf:
+        raise DegenerateSurfaceError(
+            "singular locus is not zero-dimensional in a generic chart"
+        )
+    return basis, int(colength)
+
+
+def _nothing_at_infinity(ideal: Ideal, d: int) -> bool:
+    """True only if the chart's Jacobian scheme has no point on x3 = 0.
+
+    Each generator is a form with x3 set to 1: a partial, of degree
+    d - 1, or the surface itself, of degree d, when p | d.  A form's
+    terms of its own degree are its restriction to x3 = 0, and a point
+    of the scheme there is a common zero in P^2 of the restrictions.
+    The terms of degree d - 1 and d of every generator give them all;
+    the surface's terms of degree d - 1 restrict its x3 partial again.
+    If the multiples of degree D = 3(d-2)+1 of these forms span all
+    forms of degree D, every x_i^D is in their ideal and they have no
+    common zero.  Three forms of degree d - 1 with no common zero pass
+    (Macaulay's bound); a False answer proves nothing.  D is at least 0
+    for a plane, whose partials are constants.
+    """
+    top = max(3 * (d - 2) + 1, 0)
+    nvars = ideal.ring.nvars
+    forms = []
+    for g in ideal.generators:
+        for e in (d - 1, d):
+            part = {m: c for m, c in g.terms.items() if sum(m) == e}
+            if part and e <= top:
+                forms.append((Polynomial(ideal.ring, part), monomial_array(nvars, top - e)))
+    block = np.zeros(
+        (sum(len(shifts) for _, shifts in forms), len(monomial_array(nvars, top))), dtype=np.int64
+    )
+    row = 0
+    for form, shifts in forms:
+        positions, coefficients = shift_positions(form, shifts, top)
+        block[row + np.arange(len(shifts)), positions] = coefficients[:, None]
+        row += len(shifts)
+    # looked up on linalg at call time, so that the benchmark's tracer
+    # files this rank under linalg.rank.other
+    return linalg.rank_mod_p(block, ideal.ring.field.p) == block.shape[1]
+
+
+def _chart_coordinate(chart_a, chart_b, ring: Ring) -> Polynomial:
+    """det(T_b) times chart b's x3, in chart a's affine coordinates.
+
+    A point x = T_a y has chart-b coordinates z = T_b^{-1} x, and by
+    Cramer's rule det(T_b) * z3 = det(T_b's first three columns | x).
+    That is linear in y: its coefficient of y_k puts column k of T_a in
+    the last place.  Setting y3 = 1 gives a linear form whose zeros are
+    the points that chart b sends to infinity.
+    """
+    field = ring.field
+    row = [
+        det_over_field([b[:3] + (a[k],) for a, b in zip(chart_a, chart_b)], field)
+        for k in range(AMBIENT_VARS)
+    ]
+    units = [tuple(int(i == k) for i in range(ring.nvars)) for k in range(ring.nvars)]
+    return Polynomial.from_terms(ring, zip(units + [ring.zero_monomial()], row))
 
 
 def rank_drop_check(matrix: SymmetricFormMatrix, report: NodeReport) -> bool:

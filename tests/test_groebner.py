@@ -17,6 +17,7 @@ from symmetroids.groebner import (
     Ideal,
     ResourceBudgetError,
     audit_s_polynomials,
+    colength_where_unit,
     multiplication_matrix,
     radical_membership,
     s_polynomial,
@@ -248,6 +249,28 @@ def test_certificate_infinite_quotient():
     basis = ideal("x0").groebner_basis()
     with pytest.raises(CertificateError):
         squarefree_certificate(basis, seed=1)
+
+
+@pytest.mark.parametrize(
+    "ell,want",
+    [
+        # a double point at the origin and a simple point at x0 = 1
+        ("x0", 1),
+        ("x0 - 1", 2),
+        ("x0 + x2 - 2", 3),
+        ("x1 + 1", 3),
+        # a form vanishing at every point
+        ("x1", 0),
+    ],
+)
+def test_colength_where_unit_counts_the_points_off_the_form(ell, want):
+    basis = ideal("x0^3 - x0^2", "x1", "x2").groebner_basis()
+    assert basis.colength() == 3
+    assert colength_where_unit(basis, poly(ell)) == want
+
+
+def test_colength_where_unit_of_the_empty_quotient():
+    assert colength_where_unit(ideal("1").groebner_basis(), poly("x0")) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from importlib import resources
 import pytest
 
 from symmetroids.fields import QQ, DEFAULT_PRIME, PrimeField
+from symmetroids.groebner import CertificateError
+from symmetroids.kummer import search_sixteen_nodes
 from symmetroids.macaulay import macaulay_colength
 from symmetroids.matrices import (
     DegreeType,
@@ -35,7 +37,7 @@ from symmetroids.nodes import (
     rank_drop_check,
 )
 from symmetroids.polynomials import Polynomial, Ring, parse_polynomial
-from symmetroids.randomness import random_invertible_matrix
+from symmetroids.randomness import random_form, random_invertible_matrix
 
 F = PrimeField(DEFAULT_PRIME)
 R4 = Ring(4, F)
@@ -53,6 +55,19 @@ def load_cayley():
     field = PrimeField(data["field"]["Fp"])
     ring = Ring(4, field)
     return SurfaceSpec(parse_polynomial(data["f"], ring), data["d"])
+
+
+def count_bases(monkeypatch):
+    """A list that records each Ideal.groebner_basis call from now on."""
+    calls = []
+    basis_of = Ideal.groebner_basis
+
+    def counted(ideal, **kwargs):
+        calls.append(ideal)
+        return basis_of(ideal, **kwargs)
+
+    monkeypatch.setattr(Ideal, "groebner_basis", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +138,19 @@ def test_cayley_point_enumeration():
         assert hessian_rank_at_point(spec, point) == 3
 
 
-def test_cayley_chart_mismatch_seed():
-    # seed 1 places a node at infinity in exactly one random chart
+def test_cayley_chart_mismatch_seed(monkeypatch):
+    # each seed places a node at infinity in chart a: seed 1 reads 3 in
+    # chart a and 2 in chart b, seed 4 reads 2 and 4.  Chart a's quotient
+    # cannot see those nodes, so the proof that nothing lies at infinity
+    # fails and chart b gets a basis of its own; a chart-b colength read
+    # off chart a's quotient would say 2 at seed 4 and hide the mismatch
     spec = load_cayley()
-    with pytest.raises(ChartMismatchError):
-        count_nodes(spec, seed=1)
+    calls = count_bases(monkeypatch)
+    for seed in (1, 4):
+        calls.clear()
+        with pytest.raises(ChartMismatchError):
+            count_nodes(spec, seed=seed)
+        assert len(calls) == 2, seed
 
 
 def test_affine_jacobian_matches_macaulay():
@@ -136,6 +159,106 @@ def test_affine_jacobian_matches_macaulay():
     transform = random_invertible_matrix(field, 4, 2, "chart-a")
     ideal = affine_jacobian_ideal(spec, transform)
     assert macaulay_colength(list(ideal.generators)) == 4
+
+
+# ---------------------------------------------------------------------------
+# Chart b: read off chart a's quotient after the proof, Buchberger otherwise
+
+
+def buchberger_chart_b(spec, seed):
+    """Chart b's colength from a basis of its own Jacobian ideal."""
+    transform = random_invertible_matrix(spec.ring.field, 4, seed, "chart-b")
+    return affine_jacobian_ideal(spec, transform).groebner_basis().colength()
+
+
+def matrix_surface(d, delta, degrees, seed):
+    matrix = SymmetricFormMatrix.random(DegreeType(d, delta, degrees), F, seed=seed)
+    return surface_from_matrix(matrix)
+
+
+def kummer_member():
+    member = search_sixteen_nodes(F, seed=1)
+    return member.surface, member.node_seed
+
+
+def moved_cayley():
+    """The Cayley cubic with its nodes moved off the coordinate points."""
+    cubic = load_cayley()
+    move = random_invertible_matrix(cubic.ring.field, 4, 1, "moved")
+    return SurfaceSpec(cubic.f.linear_change(move), 3)
+
+
+def small_field_surface(p, seed):
+    """A random surface of degree p over F_p, whose Jacobian ideal keeps f."""
+    field = PrimeField(p)
+    return SurfaceSpec(random_form(Ring(4, field), p, seed, "pd"), p)
+
+
+MANIFEST_TYPES = [
+    (4, 0, (2, 2)),
+    (4, 1, (1, 3)),
+    (4, 1, (1, 1, 1, 1)),
+    (5, 0, (1, 1, 3)),
+    (5, 0, (1, 1, 1, 1, 1)),
+]
+CHART_B_CASES = (
+    [(f"{t[2]}-s{s}", lambda t=t, s=s: (matrix_surface(*t, s), s))
+     for t in MANIFEST_TYPES for s in range(1, 6)]
+    + [(f"{h}x{h}-s{s}", lambda h=h, delta=delta, s=s: (matrix_surface(h, delta, (1,) * h, s), s))
+       for h, delta in ((6, 1), (7, 0)) for s in (1, 2)]
+    + [("kummer", kummer_member)]
+    + [(f"cayley-s{s}", lambda s=s: (load_cayley(), s)) for s in (2, 11, 13, 15, 17)]
+    # p | d: t = 1 and 2, and two smooth surfaces whose proof that
+    # nothing lies at infinity needs the terms of f itself
+    + [(f"quintic-F5-s{s}", lambda s=s: (small_field_surface(5, s), s)) for s in (2, 4, 5)]
+    + [("cubic-F3-s3", lambda: (small_field_surface(3, 3), 3))]
+)
+
+
+@pytest.mark.parametrize("case", [c for _, c in CHART_B_CASES], ids=[i for i, _ in CHART_B_CASES])
+def test_chart_b_colength_read_off_chart_a_matches_buchberger(case, monkeypatch):
+    spec, seed = case()
+    chart_b = buchberger_chart_b(spec, seed)
+    calls = count_bases(monkeypatch)
+    report = count_nodes(spec, seed=seed)
+    assert report.per_chart[1] == {"chart": "chart-b", "colength": chart_b}
+    # one basis: chart a's; chart b came from its quotient
+    assert len(calls) == 1
+
+
+LEAVING_CASES = [
+    # nothing lies at chart a's infinity, but chart b sends 1, 2 or 3 of
+    # the moved cubic's four nodes there, and the one node of an F_3 cubic
+    (f"moved-cayley-s{s}", lambda s=s: (moved_cayley(), s)) for s in (5, 15, 29)
+] + [("cubic-F3-s5", lambda: (small_field_surface(3, 5), 5))]
+
+
+@pytest.mark.parametrize("case", [c for _, c in LEAVING_CASES], ids=[i for i, _ in LEAVING_CASES])
+def test_chart_b_read_off_chart_a_sees_nodes_leave(case, monkeypatch):
+    # the colength read off chart a's quotient must fall to Buchberger's
+    # chart-b value, and the charts then disagree as they always did
+    spec, seed = case()
+    chart_a = affine_jacobian_ideal(
+        spec, random_invertible_matrix(spec.ring.field, 4, seed, "chart-a")
+    ).groebner_basis().colength()
+    chart_b = buchberger_chart_b(spec, seed)
+    assert chart_b < chart_a
+    calls = count_bases(monkeypatch)
+    with pytest.raises(ChartMismatchError, match=rf"\[{chart_a}, {chart_b}\]"):
+        count_nodes(spec, seed=seed)
+    assert len(calls) == 1
+
+
+def test_chart_b_falls_back_to_buchberger_when_p_is_at_most_t(monkeypatch):
+    # over F_7 the (2,2) quartic's 8 nodes leave the characteristic
+    # polynomial's recurrence no room, so chart b gets a basis of its own
+    # and the certificate then refuses the field
+    field = PrimeField(7)
+    matrix = SymmetricFormMatrix.random(DegreeType(4, 0, (2, 2)), field, seed=1)
+    calls = count_bases(monkeypatch)
+    with pytest.raises(CertificateError):
+        count_nodes(surface_from_matrix(matrix), seed=1)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +376,15 @@ def test_rank_drop_accepts_a_scalar_multiple_of_the_determinant():
 
 
 def test_rank_drop_builds_no_basis_of_its_own(monkeypatch):
-    calls = []
-    basis_of = Ideal.groebner_basis
-
-    def counted(ideal, **kwargs):
-        calls.append(ideal)
-        return basis_of(ideal, **kwargs)
-
-    monkeypatch.setattr(Ideal, "groebner_basis", counted)
+    # with the audit too: chart b's colength is read off chart a's
+    # quotient once the proof that nothing lies at infinity holds
+    calls = count_bases(monkeypatch)
     matrix = SymmetricFormMatrix.random(DegreeType(5, 0, (1, 1, 3)), F, seed=1)
-    report = count_nodes(surface_from_matrix(matrix), seed=1, audit=False)
-    assert rank_drop_check(matrix, report) is True
-    assert len(calls) == 1
+    for audit in (False, True):
+        calls.clear()
+        report = count_nodes(surface_from_matrix(matrix), seed=1, audit=audit)
+        assert rank_drop_check(matrix, report) is True
+        assert len(calls) == 1, audit
 
 
 # ---------------------------------------------------------------------------
