@@ -51,7 +51,7 @@ from .enumeration import (
     ConstraintProfile,
     enumerate_degree_types,
 )
-from .fields import FieldError, PrimeField, QQ
+from .fields import DEFAULT_PRIME, FieldError, PrimeField, QQ
 from .groebner import CertificateError, PairBudgetError, ResourceBudgetError
 from .kummer import search_sixteen_nodes
 from .matrices import (
@@ -208,8 +208,6 @@ def _read_matrix_or_surface(path: str):
             matrix = matrix_from_json_dict(obj)
             return matrix, surface_from_matrix(matrix)
         return None, surface_from_json_dict(obj)
-    except DegenerateMatrixError:
-        raise
     except (KeyError, ValueError, FieldError, PolyParseError) as exc:
         raise _UsageError(f"{path}: {exc}")
 
@@ -368,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='degree type, e.g. "(2,2)"')
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=int, choices=(0, 1), required=True)
-    p.add_argument("--field", type=_parse_field, default=PrimeField(31991),
-                   help="'q' or 'fp:<prime>' (default fp:31991)")
+    p.add_argument("--field", type=_parse_field, default=PrimeField(DEFAULT_PRIME),
+                   help=f"'q' or 'fp:<prime>' (default fp:{DEFAULT_PRIME})")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     add_format(p)
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kummer-search",
                        help="search the squared-coordinate family for t=16")
-    p.add_argument("--p", type=int, default=31991)
+    p.add_argument("--p", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--budget", type=int, default=8)
     p.add_argument("--out", default="kummer_fixture.json")

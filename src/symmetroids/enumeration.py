@@ -5,9 +5,8 @@ integer tuple with the right parity and sum that passes the enabled
 constraints, ordered by length and then lexicographically.  The search
 box is finite by design: entries start at 3 - d - delta (the lower
 bound forced by determinant_nonzero together with twist_positive) and
-tuple length runs to h_max (default 2d); when twist_positive is
-disabled the same box still applies and is part of the documented
-semantics.
+tuple length runs to 2d; when twist_positive is disabled the same box
+still applies and is part of the documented semantics.
 
 Two profiles matter in practice.  The default {determinant_nonzero,
 twist_positive} reproduces the classification of symmetric matrix
@@ -40,7 +39,6 @@ class ConstraintProfile:
     determinant_squarefree: bool = False
     twist_positive: bool = True
     smooth_plane_section: bool = False
-    h_max: "int | None" = None
 
     @classmethod
     def default(cls) -> "ConstraintProfile":
@@ -93,11 +91,10 @@ def enumerate_degree_types(
         raise ValueError("delta must be 0 or 1")
     if profile is None:
         profile = ConstraintProfile.default()
-    h_max = profile.h_max if profile.h_max is not None else 2 * d
     lower = 3 - d - delta
     parity = (d - delta) % 2
     found = []
-    for h in range(1, h_max + 1):
+    for h in range(1, 2 * d + 1):
         for degrees in _nondecreasing_tuples(d, h, lower, parity):
             dt = DegreeType(d, delta, degrees)
             flags = dt.constraint_flags()

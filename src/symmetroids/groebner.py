@@ -41,7 +41,7 @@ from .polynomials import (
     mono_lcm,
     mono_mul,
 )
-from .randomness import random_linear_form
+from .randomness import random_form
 
 DEFAULT_PAIR_BUDGET = 200_000
 PAIR_BUDGET_ENV = "SYMMETROIDS_PAIR_BUDGET"
@@ -513,7 +513,7 @@ def squarefree_certificate(basis: GroebnerBasis, seed: int) -> bool:
             f"certificate needs p > colength ({field.p} <= {t})"
         )
     for attempt in range(CERTIFICATE_ATTEMPTS):
-        ell = random_linear_form(basis.ring, seed, "separator", str(attempt))
+        ell = random_form(basis.ring, 1, seed, "separator", str(attempt))
         matrix, _ = multiplication_matrix(basis, ell)
         chi = char_poly_mod_p(np.array(matrix, dtype=np.int64), field.p)
         if squarefree_univariate_mod_p(chi, field.p):

@@ -4,11 +4,11 @@ There are two eliminations, and the library asks both only for pivots,
 ranks and determinants.  `_forward_chain` is the numpy kernel for
 prime-field matrices of any size: `pivots_mod_p` returns its pivots and
 `rank_mod_p` counts them.  `pivots_det_over_field` is plain Python
-elimination over either field, returning pivots and determinant:
-`rank_det_over_field`, `rank_over_field` and `det_over_field` wrap it.
-It serves rational matrices and the tiny prime-field matrices (4x4
-coordinate changes, Hessians and minors) whose arithmetic costs less
-than numpy's fixed per-call set-up.
+elimination over either field, returning pivots and determinant, and
+`rank_over_field` and `det_over_field` read it.  It serves rational
+matrices and the tiny prime-field matrices (4x4 coordinate changes,
+Hessians and minors) whose arithmetic costs less than numpy's fixed
+per-call set-up.
 
 Both report each pivot as a (row, column) pair, in ascending row order,
 and both honour one contract: the rows are eliminated in order, each
@@ -287,17 +287,11 @@ def pivots_det_over_field(rows, field: Field) -> "tuple[list[tuple[int, int]], C
     return pivots, field.neg(det) if swaps % 2 else det
 
 
-def rank_det_over_field(rows, field: Field) -> "tuple[int, Coeff]":
-    """(rank, determinant) of a small matrix of raw field values."""
-    pivots, det = pivots_det_over_field(rows, field)
-    return len(pivots), det
-
-
 def det_over_field(rows, field: Field) -> Coeff:
     """Determinant of a small square matrix of raw field values."""
-    return rank_det_over_field(rows, field)[1]
+    return pivots_det_over_field(rows, field)[1]
 
 
 def rank_over_field(rows, field: Field) -> int:
     """Rank of a small matrix of raw field values (either field)."""
-    return rank_det_over_field(rows, field)[0]
+    return len(pivots_det_over_field(rows, field)[0])

@@ -240,46 +240,42 @@ class SymmetricFormMatrix:
         )
 
 
-def _det_with_memo(rows: "list[list[Polynomial]]", ring: Ring) -> Polynomial:
-    """Cofactor expansion over column subsets with memoization.
+def _minor(
+    matrix: SymmetricFormMatrix, rows: "tuple[int, ...]", cols: int, memo: dict
+) -> Polynomial:
+    """The minor of phi on rows (an increasing tuple) and the columns in cols (a bitmask).
 
-    The exponential subset cache is the right tool at h <= 6; row i of
-    the recursion always holds h - popcount(mask) processed rows, so the
-    mask alone keys the cache.
+    It is expanded along the first of the rows, and memo keeps every
+    sub-minor on (rows, cols).  One memo serves a whole matrix, so minors
+    that share a row suffix and its columns share their expansion; the
+    exponential memo is the right tool at h <= 7.
     """
-    h = len(rows)
-    zero = Polynomial.zero(ring)
-    memo: "dict[int, Polynomial]" = {}
-
-    def rec(row: int, mask: int) -> Polynomial:
-        if row == h:
-            return Polynomial.constant(ring, 1)
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        total = zero
-        sign = 1
-        for j in range(h):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            entry = rows[row][j]
-            if entry:
-                sub = rec(row + 1, mask & ~bit)
-                if sub:
-                    term = entry * sub
-                    total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return rec(0, (1 << h) - 1)
+    if not rows:
+        return Polynomial.constant(matrix.ring, 1)
+    got = memo.get((rows, cols))
+    if got is not None:
+        return got
+    total = Polynomial.zero(matrix.ring)
+    sign = 1
+    for j in range(matrix.h):
+        bit = 1 << j
+        if not cols & bit:
+            continue
+        entry = matrix.entries[rows[0]][j]
+        if entry:
+            sub = _minor(matrix, rows[1:], cols & ~bit, memo)
+            if sub:
+                term = entry * sub
+                total = total + term if sign > 0 else total - term
+        sign = -sign
+    memo[rows, cols] = total
+    return total
 
 
 def determinant(matrix: SymmetricFormMatrix) -> Polynomial:
     """det(phi); raises DegenerateMatrixError when identically zero."""
-    rows = [list(r) for r in matrix.entries]
-    det = _det_with_memo(rows, matrix.ring)
+    h = matrix.h
+    det = _minor(matrix, tuple(range(h)), (1 << h) - 1, {})
     if not det:
         raise DegenerateMatrixError(
             f"matrix of type {matrix.degree_type} has identically zero determinant"
@@ -287,9 +283,8 @@ def determinant(matrix: SymmetricFormMatrix) -> Polynomial:
     return det
 
 
-def surface_from_matrix(matrix: SymmetricFormMatrix, provenance: str = "") -> SurfaceSpec:
-    det = determinant(matrix)
-    return SurfaceSpec(det, matrix.degree_type.d, provenance)
+def surface_from_matrix(matrix: SymmetricFormMatrix) -> SurfaceSpec:
+    return SurfaceSpec(determinant(matrix), matrix.degree_type.d)
 
 
 def minors_ideal_generators(matrix: SymmetricFormMatrix, size: int) -> "list[Polynomial]":
@@ -298,19 +293,19 @@ def minors_ideal_generators(matrix: SymmetricFormMatrix, size: int) -> "list[Pol
     minor(I, J) equals minor(J, I) for a symmetric matrix, so only index
     pairs with I <= J lexicographically are emitted; identically zero
     minors are dropped.  Order of the output is the (I, J) lex order,
-    hence deterministic.  Size 0 gives the one empty minor, 1.
+    hence deterministic.  Size 0 gives the one empty minor, 1.  All
+    minors share one memo of the cofactor expansion.
     """
     h = matrix.h
     if not 0 <= size <= h:
         raise ValueError(f"minor size {size} out of range 0..{h}")
-    out = []
     subsets = list(combinations(range(h), size))
-    for I in subsets:
-        for J in subsets:
-            if J < I:
-                continue
-            rows = [[matrix.entries[i][j] for j in J] for i in I]
-            minor = _det_with_memo(rows, matrix.ring)
+    masks = [sum(1 << j for j in J) for J in subsets]
+    memo: dict = {}
+    out = []
+    for a, I in enumerate(subsets):
+        for cols in masks[a:]:
+            minor = _minor(matrix, I, cols, memo)
             if minor:
                 out.append(minor)
     return out

@@ -38,9 +38,10 @@ reduced; the squarefree certificate from the multiplication matrix of a
 random linear form supplies that proof.
 
 For a surface that comes from a symmetric matrix phi, the report keeps
-its chart-a basis of the Jacobian ideal J of f, and the rank-drop check
-reads it to compare J with the ideal M of (h-1)-minors of phi, whose
-zeros are the locus where phi drops to rank h-2.  When det(phi) is a
+its chart-a transform and its chart-a basis of the Jacobian ideal J of
+f, and the rank-drop check reads both to compare J with the ideal M of
+(h-1)-minors of phi, whose zeros are the locus where phi drops to rank
+h-2.  Only count_nodes draws the charts.  When det(phi) is a
 nonzero scalar multiple of f, J is contained in M: Jacobi's formula
 writes each partial of det(phi) as tr(adj(phi) * d(phi)/dx_k), the
 entries of adj(phi) are signed (h-1)-minors, Laplace expansion puts
@@ -96,8 +97,9 @@ class UnsupportedFieldError(ValueError):
 class NodeReport:
     """Outcome of a node count, JSON-serializable for the CLI.
 
-    `surface` and `basis` (the chart-a basis of its Jacobian ideal) are
-    handed on to the rank-drop check; the JSON leaves them out.
+    `surface`, `chart` (the chart-a transform) and `basis` (the chart-a
+    basis of its Jacobian ideal) are handed on to the rank-drop check;
+    the JSON leaves them out.
     """
 
     t: int
@@ -105,6 +107,7 @@ class NodeReport:
     per_chart: "list[dict]"
     seed: int
     surface: SurfaceSpec = dataclasses.field(compare=False, repr=False)
+    chart: "tuple[tuple[int, ...], ...]" = dataclasses.field(compare=False, repr=False)
     basis: GroebnerBasis = dataclasses.field(compare=False, repr=False)
     rank_drop_consistent: "bool | None" = None
 
@@ -182,6 +185,7 @@ def count_nodes(
         per_chart=per_chart,
         seed=seed,
         surface=spec,
+        chart=chart_a,
         basis=basis,
     )
 
@@ -261,17 +265,15 @@ def rank_drop_check(matrix: SymmetricFormMatrix, report: NodeReport) -> bool:
     modulo the report's basis of J; for J in M that is the same as M
     having colength t.  The verdict is stored on the report and returned.
     """
-    field = matrix.field
-    if not isinstance(field, PrimeField):
+    if not isinstance(matrix.field, PrimeField):
         raise UnsupportedFieldError("rank-drop checks run over a prime field")
     try:
         consistent = _is_scalar_multiple(determinant(matrix), report.surface.f)
     except DegenerateMatrixError:
         consistent = False
     if consistent:
-        transform = random_invertible_matrix(field, AMBIENT_VARS, report.seed, "chart-a")
         # Change coordinates once on the low-degree entries, not on each minor.
-        minors = minors_ideal_generators(matrix.linear_change(transform), matrix.h - 1)
+        minors = minors_ideal_generators(matrix.linear_change(report.chart), matrix.h - 1)
         consistent = not any(
             report.basis.normal_form(m.dehomogenize(AMBIENT_VARS - 1)) for m in minors
         )

@@ -57,10 +57,6 @@ def random_form(ring: Ring, degree: int, seed: int, *tags: str) -> Polynomial:
     return Polynomial(ring, terms)
 
 
-def random_linear_form(ring: Ring, seed: int, *tags: str) -> Polynomial:
-    return random_form(ring, 1, seed, *tags)
-
-
 def random_invertible_matrix(field: Field, size: int, seed: int, *tags: str):
     """A deterministic invertible size x size matrix of field elements.
 

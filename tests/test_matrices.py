@@ -1,6 +1,7 @@
 """Degree types, symmetric form matrices, congruence, serialization."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from symmetroids.matrices import (
     DegenerateMatrixError,
     DegreeType,
     DegreeTypeError,
+    SurfaceSpec,
     SymmetricFormMatrix,
     ambient_ring,
     congruence_transform,
@@ -175,6 +177,60 @@ def test_determinant_degenerate():
         surface_from_matrix(m)
 
 
+def per_minor_det(rows, ring):
+    """Cofactor expansion of one minor along its first row, memoized on the
+    remaining columns only: a fresh expansion for every minor."""
+    h = len(rows)
+    memo = {}
+
+    def rec(row, mask):
+        if row == h:
+            return Polynomial.constant(ring, 1)
+        if mask not in memo:
+            total = Polynomial.zero(ring)
+            sign = 1
+            for j in range(h):
+                if mask & 1 << j:
+                    if rows[row][j]:
+                        term = rows[row][j] * rec(row + 1, mask & ~(1 << j))
+                        total = total + term if sign > 0 else total - term
+                    sign = -sign
+            memo[mask] = total
+        return memo[mask]
+
+    return rec(0, (1 << h) - 1)
+
+
+COFACTOR_TYPES = [
+    DegreeType(4, 0, (2, 2)),
+    DegreeType(4, 1, (1, 3)),
+    DegreeType(4, 1, (1, 1, 1, 1)),
+    DegreeType(5, 0, (1, 1, 3)),
+    DegreeType(5, 0, (1, 1, 1, 1, 1)),
+    DegreeType(6, 1, (1,) * 6),
+    # entry (0, 0) has degree -1, so the matrix has a zero entry
+    DegreeType(4, 1, (-1, 1, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("dtype", COFACTOR_TYPES, ids=str)
+def test_shared_expansion_matches_a_per_minor_expansion(dtype):
+    chart = random_invertible_matrix(F, 4, 1, "chart-a")
+    m = SymmetricFormMatrix.random(dtype, F, seed=1).linear_change(chart)
+    h = m.h
+    assert determinant(m) == per_minor_det(m.entries, m.ring)
+    for size in range(h + 1):
+        want = []
+        subsets = list(combinations(range(h), size))
+        for I in subsets:
+            for J in subsets:
+                if J >= I:
+                    minor = per_minor_det([[m.entries[i][j] for j in J] for i in I], m.ring)
+                    if minor:
+                        want.append(minor)
+        assert minors_ideal_generators(m, size) == want, size
+
+
 def test_minors_deduplication():
     dt = DegreeType(3, 0, (1, 1, 1))
     m = SymmetricFormMatrix.random(dt, F, seed=1)
@@ -247,7 +303,7 @@ def test_matrix_json_upper_triangle_is_authoritative():
 def test_surface_json_round_trip():
     dt = DegreeType(4, 0, (2, 2))
     m = SymmetricFormMatrix.random(dt, F, seed=2)
-    spec = surface_from_matrix(m, provenance="test")
+    spec = SurfaceSpec(determinant(m), dt.d, provenance="test")
     again = surface_from_json_dict(surface_to_json_dict(spec))
     assert again.f == spec.f and again.d == spec.d
     assert again.provenance == "test"

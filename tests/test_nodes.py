@@ -13,6 +13,7 @@ from importlib import resources
 
 import pytest
 
+from symmetroids import nodes
 from symmetroids.fields import QQ, DEFAULT_PRIME, PrimeField
 from symmetroids.groebner import CertificateError
 from symmetroids.kummer import search_sixteen_nodes
@@ -385,6 +386,24 @@ def test_rank_drop_builds_no_basis_of_its_own(monkeypatch):
         report = count_nodes(surface_from_matrix(matrix), seed=1, audit=audit)
         assert rank_drop_check(matrix, report) is True
         assert len(calls) == 1, audit
+
+
+def test_rank_drop_moves_phi_by_the_reports_chart(monkeypatch):
+    # only count_nodes draws chart a; the check reads it off the report
+    matrix = SymmetricFormMatrix.random(DegreeType(4, 1, (1, 1, 1, 1)), F, seed=1)
+    report = count_nodes(surface_from_matrix(matrix), seed=1)
+    assert report.chart == random_invertible_matrix(F, 4, 1, "chart-a")
+    assert "chart" not in report.to_json_dict()
+    calls = []
+    draw = nodes.random_invertible_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(nodes, "random_invertible_matrix", counted)
+    assert rank_drop_check(matrix, report) is True
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

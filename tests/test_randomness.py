@@ -9,7 +9,6 @@ from symmetroids.randomness import (
     element_stream,
     random_form,
     random_invertible_matrix,
-    random_linear_form,
     random_point,
 )
 
@@ -49,7 +48,7 @@ def test_random_form_shape_and_determinism():
 
 def test_random_linear_form():
     ring = Ring(3, F)
-    form = random_linear_form(ring, 9, "aux")
+    form = random_form(ring, 1, 9, "aux")
     assert form.is_homogeneous() and form.homogeneous_degree() == 1
 
 
