@@ -11,7 +11,7 @@ e.g.
 import argparse
 from collections import Counter
 
-from symmetroids.fields import PrimeField
+from symmetroids.fields import DEFAULT_PRIME, PrimeField
 from symmetroids.groebner import CertificateError, ResourceBudgetError
 from symmetroids.matrices import DegenerateMatrixError
 from symmetroids.nodes import ChartMismatchError, DegenerateSurfaceError
@@ -43,7 +43,7 @@ def main() -> int:
     parser.add_argument("--type", type=parse_type, required=True)
     parser.add_argument("--d", type=int, required=True)
     parser.add_argument("--delta", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--p", type=int, default=31991)
+    parser.add_argument("--p", type=int, default=DEFAULT_PRIME)
     parser.add_argument("--seeds", type=int, nargs=2, default=(1, 10),
                         metavar=("FIRST", "LAST"))
     parser.add_argument("--workers", type=int, default=1)

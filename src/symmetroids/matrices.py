@@ -200,9 +200,9 @@ class SymmetricFormMatrix:
         """phi(A y): each entry as `Polynomial.linear_change(A)` gives it.
 
         A is checked once for the whole matrix (one row per variable,
-        full column rank k), and the entries share its powers.  The upper
-        triangle is moved and mirrored down; the result lives in
-        Ring(k, field).
+        full column rank k), and the entries share its checked images,
+        each entry moved by Horner's scheme.  The upper triangle is
+        moved and mirrored down; the result lives in Ring(k, field).
         """
         move = _LinearMap(self.ring, transform)
         return SymmetricFormMatrix.from_upper_triangle(

@@ -13,6 +13,11 @@ order, which is what the Groebner engine's division heap uses.  Every
 number the package reads off a Groebner basis is a dimension of
 k[x]/I, which does not depend on the order.
 
+``Polynomial.linear_change`` is the one coordinate change: x -> A y,
+for charts of P^3 and plane sections alike.  It runs Horner's scheme in
+one variable after another, so every product multiplies by the linear
+image of one variable and no power of an image is ever formed.
+
 The text format is deliberately tiny.  Variables are ``x0 .. x{n-1}``,
 ``^`` marks exponents >= 2, ``*`` separates factors, coefficients are
 integers (or ``a/b`` rationals over Q).  The canonical printer emits
@@ -334,7 +339,9 @@ class Polynomial:
 
         A is nvars x k with full column rank k, and the result lives in
         Ring(k, field).  A square A is an invertible change of
-        coordinates; a 4 x 3 one parametrizes a plane of P^3.
+        coordinates; a 4 x 3 one parametrizes a plane of P^3.  The
+        substitution is Horner's scheme in x_0, x_1, ... (see
+        `_LinearMap`).
         """
         return _LinearMap(self.ring, matrix)(self)
 
@@ -374,9 +381,15 @@ class _LinearMap:
 
     The map is normalized and checked (nvars x k, full column rank k)
     once, when it is built; calling it on a polynomial of `ring` checks
-    nothing more.  The images of the variables and their powers, each
-    computed once by repeated squaring, are shared by every polynomial
-    the map moves, so the entries of one matrix reuse them.
+    nothing more, and the images of the variables are shared by every
+    polynomial the map moves.  A call is Horner's scheme in x_0, then
+    x_1, ...: writing f = sum_e x_0^e f_e with each f_e free of x_0,
+
+        f(A y) = (...(f_top(A y) l_0 + f_{top-1}(A y)) l_0 + ...) l_0 + f_0(A y),
+
+    where l_0 is x_0's image and each f_e is moved the same way in the
+    later variables.  Every product is by one linear image, and no power
+    of an image is formed.
     """
 
     def __init__(self, ring: Ring, matrix):
@@ -395,32 +408,34 @@ class _LinearMap:
             )
             for row in rows
         ]
-        self.powers: "list[dict[int, Polynomial]]" = [dict() for _ in self.images]
-
-    def power(self, i: int, e: int) -> Polynomial:
-        cache = self.powers[i]
-        got = cache.get(e)
-        if got is None:
-            got = Polynomial.constant(self.target, 1)
-            base = self.images[i]
-            rest = e
-            while rest:
-                if rest & 1:
-                    got = got * base
-                base = base * base if rest > 1 else base
-                rest >>= 1
-            cache[e] = got
-        return got
 
     def __call__(self, poly: Polynomial) -> Polynomial:
-        result = Polynomial.zero(self.target)
-        for m, c in poly.terms.items():
-            part = Polynomial.constant(self.target, c)
-            for i, e in enumerate(m):
-                if e:
-                    part = part * self.power(i, e)
-            result = result + part
-        return result
+        if not poly.terms:
+            return Polynomial.zero(self.target)
+        # The groups hold the polynomial's own monomial keys: no new
+        # object per term, so a move allocates no more than its products.
+        return self._horner(poly.terms, list(poly.terms), 0)
+
+    def _horner(self, terms: dict, monos: list, i: int) -> Polynomial:
+        """The image of the terms on `monos` with x_0 .. x_{i-1} set to 1.
+
+        The monomials agree in those exponents; the callers' Horner
+        steps supply their factors.
+        """
+        mono = monos[0]
+        if len(monos) == 1 and not any(mono[i:]):
+            return Polynomial(self.target, {self.target.zero_monomial(): terms[mono]})
+        groups: dict = {}
+        for mono in monos:
+            groups.setdefault(mono[i], []).append(mono)
+        image = self.images[i]
+        top = max(groups)
+        acc = self._horner(terms, groups[top], i + 1)
+        for e in range(top - 1, -1, -1):
+            acc = acc * image
+            if e in groups:
+                acc = acc + self._horner(terms, groups[e], i + 1)
+        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ each power g_i^e by repeated squaring, then one product per term.  A
 linear change is that map with linear images, and a plane section is
 that map with x_i -> x_i for i < 3 and x3 -> a replacement linear form,
 the last variable eliminated.  `linear_change` must give the same
-polynomial, term for term, on square maps over F_7, F_31991 and Q, and
-on the 4 x 3 map of every seeded plane section.
+polynomial, term for term, on square maps over F_7, F_31991, F_(2^61-1)
+and Q, on the chart-a move of the 6x6 and 7x7 determinants, and on the
+4 x 3 map of every seeded plane section.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from symmetroids import polynomials as polynomials_module
 from symmetroids.cohomology import plane_section_presentation
 from symmetroids.fields import QQ, PrimeField
-from symmetroids.matrices import DegreeType, SymmetricFormMatrix
+from symmetroids.matrices import DegreeType, SymmetricFormMatrix, surface_from_matrix
 from symmetroids.polynomials import Polynomial, Ring, parse_polynomial
 from symmetroids.randomness import element_stream, random_form, random_invertible_matrix
 
@@ -77,12 +78,17 @@ def linear_images(matrix, ring):
 
 
 def sample_polynomials(ring, seed):
-    """Forms of degree 0..4 and two sums of forms of different degrees."""
-    forms = [random_form(ring, deg, seed, "f", str(deg)) for deg in range(5)]
-    return forms + [forms[1] + forms[3], forms[0] + forms[2] + forms[4]]
+    """Forms of degree 0..7, two sums of forms of different degrees, and a
+    sparse polynomial whose exponents of x0 and x1 skip values."""
+    forms = [random_form(ring, deg, seed, "f", str(deg)) for deg in range(8)]
+    last = ring.nvars - 1
+    sparse = parse_polynomial(f"x0^6*x{last} + x1^4 + 1", ring)
+    return forms + [forms[1] + forms[3], forms[0] + forms[2] + forms[4], sparse]
 
 
-@pytest.mark.parametrize("field", [F7, F31991, QQ], ids=["F7", "F31991", "Q"])
+@pytest.mark.parametrize(
+    "field", [F7, F31991, PrimeField(2**61 - 1), QQ], ids=["F7", "F31991", "F2^61-1", "Q"]
+)
 @pytest.mark.parametrize("nvars", [2, 3, 4])
 def test_square_maps_match_the_reference(field, nvars):
     ring = Ring(nvars, field)
@@ -105,6 +111,15 @@ def test_square_map_in_characteristic_seven():
     assert parse_polynomial("x0^7", ring).linear_change(transform) == parse_polynomial(
         "x0^7 + x1^7", ring
     )
+
+
+@pytest.mark.parametrize("d, delta, degrees", [TYPES[-1], (7, 0, (1,) * 7)], ids=["6x6", "7x7"])
+def test_determinants_move_to_chart_a_as_the_reference_moves_them(d, delta, degrees):
+    matrix = SymmetricFormMatrix.random(DegreeType(d, delta, degrees), F31991, seed=1)
+    f = surface_from_matrix(matrix).f
+    chart = random_invertible_matrix(F31991, 4, 1, "chart-a")
+    want = reference_substitute(f, linear_images(chart, f.ring))
+    assert f.linear_change(chart).terms == want.terms
 
 
 def section_replacement(field, seed):

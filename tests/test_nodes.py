@@ -326,6 +326,41 @@ def test_generic_symmetroid_counts():
         assert report.rank_drop_consistent
 
 
+# PrimeField accepts p < 2^62; near that bound linalg's ranks run on
+# object arrays instead of int64 panels.
+LARGE_PRIMES = [DEFAULT_PRIME, 2**31 - 1, 2**61 - 1]
+LARGE_PRIME_TYPES = [
+    (DegreeType(4, 0, (2, 2)), 8),
+    (DegreeType(4, 1, (1, 1, 1, 1)), 10),
+    (DegreeType(5, 0, (1, 1, 3)), 16),
+]
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+@pytest.mark.parametrize("dtype,t", LARGE_PRIME_TYPES, ids=lambda v: str(v))
+def test_node_counts_agree_over_large_primes(dtype, t, p):
+    field = PrimeField(p)
+    matrix = SymmetricFormMatrix.random(dtype, field, seed=1)
+    report = count_nodes(surface_from_matrix(matrix), seed=1)
+    assert rank_drop_check(matrix, report) is True
+    assert report.t == t
+    assert report.reduced_certified is True
+    assert report.per_chart == [
+        {"chart": "chart-a", "colength": t},
+        {"chart": "chart-b", "colength": t},
+    ]
+    assert report.rank_drop_consistent is True
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_macaulay_colength_agrees_over_large_primes(p):
+    field = PrimeField(p)
+    matrix = SymmetricFormMatrix.random(DegreeType(4, 0, (2, 2)), field, seed=1)
+    chart = random_invertible_matrix(field, 4, 1, "chart-a")
+    ideal = affine_jacobian_ideal(surface_from_matrix(matrix), chart)
+    assert macaulay_colength(list(ideal.generators)) == 8
+
+
 def test_node_report_json_shape():
     matrix = SymmetricFormMatrix.random(DegreeType(4, 0, (2, 2)), F, seed=3)
     report = count_nodes(surface_from_matrix(matrix), seed=3)
