@@ -9,10 +9,35 @@ minimal, mutually tail-reduced, sorted by ascending leading monomial.
 Reduced bases are unique per ideal, which makes basis equality a usable
 ideal-equality test and makes the whole pipeline deterministic.
 
-Division keeps the working polynomial in a dict plus a lazy max-heap of
-monomial keys, so extracting the current lead term is O(log n) instead
-of a linear scan; that is the difference between seconds and minutes on
-the dense Jacobian ideals this package feeds in.
+Inside the engine a monomial in n variables is one Python int, the
+packed key K = (Q << 16n) + E of Monagan and Pearce (*Sparse polynomial
+division using a heap*, J. Symb. Comput. 2011):
+
+- E holds the exponents in 16-bit fields, e_i in bits 16i .. 16i + 15;
+  the top bit of each field is a guard bit;
+- Q = deg * B^(n-1) - sum_{i>=1} e_i * B^(i-1) with B = 2^16, the
+  grevlex rank of the monomial.
+
+Both parts are linear in the exponents, so the key of a product is the
+sum of the keys, int order is grevlex, and x^a divides x^m exactly when
+(K_m - K_a) & guard == 0, a borrow out of any field landing on its
+guard bit.  That difference is then the key of the quotient.  Every
+monomial of degree below 2^15 fits; a key is made only from an input
+monomial or the lcm of two leading monomials, and every other monomial
+the loop meets is grevlex-below one of those, so the degree check sits
+at those two places and raises ResourceBudgetError past the limit.
+
+Division keeps the working polynomial in a dict plus a lazy heap of
+negated keys, so extracting the current lead term is O(log n) and
+shifting a reducer's tail term is one int addition.  The pending
+S-pairs sit in a heap keyed by (lcm key, i, j), which is the selection
+order above; pairs the chain criterion drops stay in the heap and are
+skipped when popped.  Each basis element counts the pending pairs that
+name it, plus one while it is in the basis, and its (lead, tail) is
+dropped when that count reaches zero, so the loop holds the live basis
+and the pairs still to run, not every element it ever made.  Keys are
+decoded to exponent tuples only for the output; GroebnerBasis encodes
+its elements once and runs every query on keys.
 
 A pair budget (default 200000, overridable via the
 SYMMETROIDS_PAIR_BUDGET environment variable) turns runaway
@@ -26,31 +51,29 @@ import math
 import os
 from collections import deque
 from functools import cached_property
+from operator import mul as _mul
 from typing import Iterable
 
 import numpy as np
 
 from .fields import PrimeField
 from .linalg import char_poly_mod_p, squarefree_univariate_mod_p
-from .polynomials import (
-    Polynomial,
-    Ring,
-    grevlex_key,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polynomials import Polynomial, Ring, grevlex_key, mono_divides, mono_lcm
 from .randomness import random_form
 
 DEFAULT_PAIR_BUDGET = 200_000
 PAIR_BUDGET_ENV = "SYMMETROIDS_PAIR_BUDGET"
 # Random separating forms tried before a quotient counts as uncertified.
 CERTIFICATE_ATTEMPTS = 5
+# Bits per exponent field of a packed key; the top one is the guard bit.
+FIELD_BITS = 16
+# Monomials of this degree or more do not fit a packed key.
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class ResourceBudgetError(Exception):
-    """The S-pair budget was exhausted before the basis stabilized."""
+    """The S-pair budget ran out, or a monomial outgrew the packed keys."""
 
 
 class CertificateError(ValueError):
@@ -75,17 +98,60 @@ def effective_pair_budget(pair_budget: "int | None") -> int:
     return DEFAULT_PAIR_BUDGET
 
 
-def _heap_key(mono):
-    """A key whose min-heap order equals descending grevlex."""
-    return tuple([-k for k in grevlex_key(mono)])
+class Packing:
+    """Packed monomial keys of a ring with n variables (see the module docstring)."""
+
+    __slots__ = ("weights", "shifts", "guard", "mask")
+
+    def __init__(self, nvars: int):
+        base = 1 << FIELD_BITS
+        width = FIELD_BITS * nvars
+        top = base ** (nvars - 1)
+        self.shifts = tuple(FIELD_BITS * i for i in range(nvars))
+        # K = sum_i e_i * weights[i]: the Q weight above bit 16n, the
+        # field's unit below it
+        self.weights = tuple(
+            ((top - (base ** (i - 1) if i else 0)) << width) + (1 << s)
+            for i, s in enumerate(self.shifts)
+        )
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        self.mask = (1 << width) - 1
+
+    @staticmethod
+    def check_degree(degree: int) -> None:
+        if degree >= DEGREE_LIMIT:
+            raise ResourceBudgetError(
+                f"a monomial of degree {degree} exceeds the packed-monomial "
+                f"limit of {DEGREE_LIMIT - 1}"
+            )
+
+    def encode(self, mono) -> int:
+        """The key of an exponent tuple; ResourceBudgetError past the degree limit."""
+        self.check_degree(sum(mono))
+        return sum(map(_mul, mono, self.weights))
+
+    def decode(self, key: int) -> "tuple[int, ...]":
+        e = key & self.mask
+        return tuple([(e >> s) & FIELD_MASK for s in self.shifts])
+
+    def encode_terms(self, terms: dict) -> dict:
+        encode = self.encode
+        return {encode(m): c for m, c in terms.items()}
+
+    def decode_terms(self, terms: dict) -> dict:
+        decode = self.decode
+        return {decode(k): c for k, c in terms.items()}
 
 
 def _coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
-    """Remainder of f modulo a list of monic (lead, tail) reducers."""
+def _normal_form_raw(fterms: dict, reducers, field, guard: int) -> dict:
+    """Remainder of f modulo a list of monic (lead, tail) reducers, all on keys.
+
+    The remainder's terms come out in descending grevlex order.
+    """
     if not fterms:
         return {}
     # over F_p the arithmetic is inlined; p = 0 selects the field's
@@ -94,49 +160,31 @@ def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
     sub = field.sub
     mul = field.mul
     neg = field.neg
+    push = heapq.heappush
+    pop = heapq.heappop
     work = dict(fterms)
-    heap = []
-    for m in work:
-        hk = key_cache.get(m)
-        if hk is None:
-            hk = _heap_key(m)
-            key_cache[m] = hk
-        heap.append((hk, m))
+    heap = [-k for k in work]
     heapq.heapify(heap)
     out: dict = {}
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -pop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        hit = None
-        for lm, tail in reducers:
-            ok = True
-            for x, y in zip(lm, m):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                hit = (lm, tail)
+        for lead, tail in reducers:
+            q = m - lead
+            if not q & guard:
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lm, tail = hit
-        q = tuple([y - x for x, y in zip(lm, m)])
-        shifted = any(q)
-        for tm, tc in tail.items():
-            mono = tuple([x + y for x, y in zip(tm, q)]) if shifted else tm
+        for tk, tc in tail.items():
+            mono = tk + q
             prev = work.get(mono)
             if prev is None:
-                val = -c * tc % p if p else neg(mul(c, tc))
-                if val:
-                    work[mono] = val
-                    hk = key_cache.get(mono)
-                    if hk is None:
-                        hk = _heap_key(mono)
-                        key_cache[mono] = hk
-                    heapq.heappush(heap, (hk, mono))
+                # a product of nonzero field elements is nonzero
+                work[mono] = -c * tc % p if p else neg(mul(c, tc))
+                push(heap, -mono)
             else:
                 val = (prev - c * tc) % p if p else sub(prev, mul(c, tc))
                 if val:
@@ -147,31 +195,29 @@ def _normal_form_raw(fterms: dict, reducers, field, key_cache: dict) -> dict:
 
 
 def _split_monic(terms: dict, field):
-    """(lead monomial, tail dict) of a monic copy of the polynomial."""
-    lm = max(terms, key=grevlex_key)
-    lc = terms[lm]
+    """(lead key, tail dict) of a monic copy of a polynomial on keys."""
+    lead = max(terms)
+    lc = terms[lead]
     if lc == field.one:
-        tail = {m: c for m, c in terms.items() if m != lm}
+        tail = {m: c for m, c in terms.items() if m != lead}
     else:
         inv = field.inv(lc)
         mul = field.mul
-        tail = {m: mul(c, inv) for m, c in terms.items() if m != lm}
-    return lm, tail
+        tail = {m: mul(c, inv) for m, c in terms.items() if m != lead}
+    return lead, tail
 
 
-def _spoly_raw(a, b, field) -> dict:
-    lm_a, tail_a = a
-    lm_b, tail_b = b
-    l = mono_lcm(lm_a, lm_b)
-    qa = mono_div(l, lm_a)
-    qb = mono_div(l, lm_b)
-    s: dict = {}
-    for m, c in tail_a.items():
-        s[mono_mul(m, qa)] = c
+def _spoly_raw(a, b, lcm: int, field) -> dict:
+    """S(a, b) of monic (lead, tail) pairs whose leads have the lcm key given."""
+    lead_a, tail_a = a
+    lead_b, tail_b = b
+    qa = lcm - lead_a
+    qb = lcm - lead_b
+    s = {m + qa: c for m, c in tail_a.items()}
     neg = field.neg
     sub = field.sub
     for m, c in tail_b.items():
-        mono = mono_mul(m, qb)
+        mono = m + qb
         prev = s.get(mono)
         if prev is None:
             s[mono] = neg(c)
@@ -185,103 +231,121 @@ def _spoly_raw(a, b, field) -> dict:
 
 
 def _is_constant_terms(terms: dict) -> bool:
-    return len(terms) == 1 and not any(next(iter(terms)))
+    return len(terms) == 1 and 0 in terms
 
 
-def _buchberger_raw(inputs: "list[dict]", ring: Ring, budget: int):
-    """Raw Buchberger; returns a list of monic (lead, tail) pairs."""
-    field = ring.field
-    key_cache: dict = {}
-    one = [((0,) * ring.nvars, {})]
+def _buchberger_raw(inputs: "list[dict]", packing: Packing, field, budget: int):
+    """Buchberger on keys; the reduced basis as monic (lead, tail) pairs."""
+    guard = packing.guard
+    one = [(0, {})]
 
-    store: "list[tuple]" = []
+    # per element: (lead, tail) and the decoded lead, both None once freed
+    store: "list[tuple | None]" = []
+    leads: "list[tuple | None]" = []
+    # pending pairs naming an element, plus one while it is alive
+    refs: "list[int]" = []
     alive: "list[int]" = []
-    pending: "dict[tuple[int, int], tuple]" = {}
+    pending: "dict[tuple[int, int], int]" = {}
+    queue: "list[tuple[int, int, int]]" = []
 
     def reducers():
         return [store[g] for g in alive]
 
-    def update(h_idx: int):
+    def release(g: int):
+        refs[g] -= 1
+        if not refs[g]:
+            store[g] = leads[g] = None
+
+    def add(r: dict):
+        store.append(_split_monic(r, field))
+        leads.append(packing.decode(store[-1][0]))
+        refs.append(1)
+        update(len(store) - 1)
+
+    def update(h: int):
         # Gebauer-Moller update: prune new pairs by the chain criterion,
         # drop coprime-lead pairs, filter stale old pairs, retire basis
         # elements whose lead became divisible.
-        h_lm = store[h_idx][0]
-        candidates = deque((g, mono_lcm(h_lm, store[g][0])) for g in alive)
+        h_key = store[h][0]
+        h_lm = leads[h]
+        candidates = deque((g, packing.encode(mono_lcm(h_lm, leads[g]))) for g in alive)
         kept: "list[tuple]" = []
         while candidates:
             g, l = candidates.popleft()
-            if _coprime(h_lm, store[g][0]):
+            if _coprime(h_lm, leads[g]):
                 kept.append((g, l))
                 continue
-            dominated = any(mono_divides(l2, l) for _, l2 in candidates) or any(
-                mono_divides(l2, l) for _, l2 in kept
+            dominated = any(not (l - l2) & guard for _, l2 in candidates) or any(
+                not (l - l2) & guard for _, l2 in kept
             )
             if not dominated:
                 kept.append((g, l))
-        for (i, j) in list(pending):
-            _, l = pending[(i, j)]
-            if (
-                mono_divides(h_lm, l)
-                and mono_lcm(store[i][0], h_lm) != l
-                and mono_lcm(store[j][0], h_lm) != l
-            ):
-                del pending[(i, j)]
+        for (i, j), l in list(pending.items()):
+            if not (l - h_key) & guard:
+                lm = packing.decode(l)
+                if mono_lcm(leads[i], h_lm) != lm and mono_lcm(leads[j], h_lm) != lm:
+                    del pending[(i, j)]
+                    release(i)
+                    release(j)
         for g, l in kept:
-            if not _coprime(h_lm, store[g][0]):
-                a, b = (g, h_idx) if g < h_idx else (h_idx, g)
-                pending[(a, b)] = (sum(l), l)
-        alive[:] = [g for g in alive if not mono_divides(h_lm, store[g][0])]
-        alive.append(h_idx)
+            if not _coprime(h_lm, leads[g]):
+                pending[(g, h)] = l
+                heapq.heappush(queue, (l, g, h))
+                refs[g] += 1
+                refs[h] += 1
+        still = []
+        for g in alive:
+            if (store[g][0] - h_key) & guard:
+                still.append(g)
+            else:
+                release(g)
+        alive[:] = still + [h]
 
     for terms in inputs:
         if not terms:
             continue
-        r = _normal_form_raw(terms, reducers(), field, key_cache)
+        r = _normal_form_raw(terms, reducers(), field, guard)
         if not r:
             continue
         if _is_constant_terms(r):
             return one
-        store.append(_split_monic(r, field))
-        update(len(store) - 1)
+        add(r)
 
     processed = 0
     while pending:
-        pair = min(
-            pending.items(),
-            key=lambda kv: (kv[1][0], grevlex_key(kv[1][1]), kv[0]),
-        )[0]
-        del pending[pair]
+        l, i, j = heapq.heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue
         processed += 1
         if processed > budget:
             raise ResourceBudgetError(
                 f"S-pair budget of {budget} exhausted ({processed} pairs processed)"
             )
-        i, j = pair
-        s = _spoly_raw(store[i], store[j], field)
-        r = _normal_form_raw(s, reducers(), field, key_cache)
+        s = _spoly_raw(store[i], store[j], l, field)
+        release(i)
+        release(j)
+        r = _normal_form_raw(s, reducers(), field, guard)
         if not r:
             continue
         if _is_constant_terms(r):
             return one
-        store.append(_split_monic(r, field))
-        update(len(store) - 1)
+        add(r)
 
-    return _reduce_basis_raw([store[g] for g in alive], field, key_cache)
+    return _reduce_basis_raw([store[g] for g in alive], field, guard)
 
 
-def _reduce_basis_raw(elements, field, key_cache):
+def _reduce_basis_raw(elements, field, guard: int):
     """Minimalize then tail-reduce; output sorted by ascending lead."""
-    elements = sorted(elements, key=lambda e: grevlex_key(e[0]))
+    elements = sorted(elements, key=lambda e: e[0])
     minimal = []
-    for lm, tail in elements:
-        if not any(mono_divides(other[0], lm) for other in minimal):
-            minimal.append((lm, tail))
+    for lead, tail in elements:
+        if all((lead - other[0]) & guard for other in minimal):
+            minimal.append((lead, tail))
     reduced = []
-    for idx, (lm, tail) in enumerate(minimal):
+    for idx, (lead, tail) in enumerate(minimal):
         others = [minimal[k] for k in range(len(minimal)) if k != idx]
-        new_tail = _normal_form_raw(tail, others, field, key_cache)
-        reduced.append((lm, new_tail))
-    reduced.sort(key=lambda e: grevlex_key(e[0]))
+        reduced.append((lead, _normal_form_raw(tail, others, field, guard)))
+    reduced.sort(key=lambda e: e[0])
     return reduced
 
 
@@ -291,7 +355,11 @@ class GroebnerBasis:
     def __init__(self, ring: Ring, raw_elements):
         self.ring = ring
         self._raw = list(raw_elements)
-        self._key_cache: dict = {}
+        self._packing = Packing(ring.nvars)
+        self._reducers = [
+            (self._packing.encode(lm), self._packing.encode_terms(tail))
+            for lm, tail in self._raw
+        ]
         self.elements = tuple(
             Polynomial(ring, {lm: ring.field.one, **tail}) for lm, tail in self._raw
         )
@@ -313,11 +381,15 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self._raw) == 1 and not any(self._raw[0][0])
 
+    def _normal_form_keys(self, terms: dict) -> dict:
+        return _normal_form_raw(terms, self._reducers, self.ring.field, self._packing.guard)
+
     def normal_form(self, poly: Polynomial) -> Polynomial:
         if poly.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        out = _normal_form_raw(poly.terms, self._raw, self.ring.field, self._key_cache)
-        return Polynomial(self.ring, out)
+        packing = self._packing
+        out = self._normal_form_keys(packing.encode_terms(poly.terms))
+        return Polynomial(self.ring, packing.decode_terms(out))
 
     def quotient_monomials(self) -> "tuple[tuple[int, ...], ...] | None":
         """The staircase basis of the quotient, or None when infinite.
@@ -384,8 +456,13 @@ class Ideal:
     def groebner_basis(self, *, pair_budget: "int | None" = None) -> GroebnerBasis:
         """The reduced grevlex basis, computed afresh on each call."""
         budget = effective_pair_budget(pair_budget)
-        raw = _buchberger_raw([dict(g.terms) for g in self.generators], self.ring, budget)
-        return GroebnerBasis(self.ring, raw)
+        packing = Packing(self.ring.nvars)
+        inputs = [packing.encode_terms(g.terms) for g in self.generators]
+        reduced = _buchberger_raw(inputs, packing, self.ring.field, budget)
+        return GroebnerBasis(
+            self.ring,
+            [(packing.decode(lead), packing.decode_terms(tail)) for lead, tail in reduced],
+        )
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -395,9 +472,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     field = f.ring.field
-    a = _split_monic(f.terms, field)
-    b = _split_monic(g.terms, field)
-    return Polynomial(f.ring, _spoly_raw(a, b, field))
+    packing = Packing(f.ring.nvars)
+    a = _split_monic(packing.encode_terms(f.terms), field)
+    b = _split_monic(packing.encode_terms(g.terms), field)
+    lcm = packing.encode(mono_lcm(packing.decode(a[0]), packing.decode(b[0])))
+    return Polynomial(f.ring, packing.decode_terms(_spoly_raw(a, b, lcm, field)))
 
 
 def audit_s_polynomials(basis: GroebnerBasis) -> bool:
@@ -459,15 +538,19 @@ def multiplication_matrix(basis: GroebnerBasis, ell: Polynomial):
     staircase = basis.quotient_monomials()
     if staircase is None:
         raise ValueError("quotient is not finite-dimensional")
-    index = {m: i for i, m in enumerate(staircase)}
     n = len(staircase)
     field = basis.ring.field
     matrix = [[field.zero] * n for _ in range(n)]
-    for j, mono in enumerate(staircase):
-        product = ell * Polynomial(basis.ring, {mono: field.one})
-        image = basis.normal_form(product)
-        for m, c in image.terms.items():
-            matrix[index[m]][j] = c
+    packing = basis._packing
+    # each ell * b_j is made as a sum of keys, so its degree is checked here
+    packing.check_degree(max(map(sum, staircase), default=0) + 1)
+    keys = [packing.encode(m) for m in staircase]
+    index = {k: i for i, k in enumerate(keys)}
+    ell_terms = packing.encode_terms(ell.terms)
+    for j, key in enumerate(keys):
+        image = basis._normal_form_keys({k + key: c for k, c in ell_terms.items()})
+        for k, c in image.items():
+            matrix[index[k]][j] = c
     return matrix, staircase
 
 

@@ -57,21 +57,12 @@ class Ring:
         return f"{self.field}[{', '.join(f'x{i}' for i in range(self.nvars))}]"
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a, b) -> bool:
     """True when x^a divides x^b."""
     for x, y in zip(a, b):
         if x > y:
             return False
     return True
-
-
-def mono_div(numerator, denominator):
-    """Exponent vector of x^numerator / x^denominator (divisibility assumed)."""
-    return tuple(x - y for x, y in zip(numerator, denominator))
 
 
 def mono_lcm(a, b):

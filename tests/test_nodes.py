@@ -14,6 +14,11 @@ from importlib import resources
 import pytest
 
 from symmetroids import nodes
+from symmetroids.cohomology import (
+    cohomology_table,
+    hilbert_function_coker,
+    plane_section_presentation,
+)
 from symmetroids.fields import QQ, DEFAULT_PRIME, PrimeField
 from symmetroids.groebner import CertificateError
 from symmetroids.kummer import search_sixteen_nodes
@@ -359,6 +364,27 @@ def test_macaulay_colength_agrees_over_large_primes(p):
     chart = random_invertible_matrix(field, 4, 1, "chart-a")
     ideal = affine_jacobian_ideal(surface_from_matrix(matrix), chart)
     assert macaulay_colength(list(ideal.generators)) == 8
+
+
+def cohomology_values(degree_type, field):
+    """h0 of coker(phi) by rank, and the cohomology tables, of the seed-1
+    plane section (m = -2..8) and surface (m = -2..6)."""
+    surface = SymmetricFormMatrix.random(degree_type, field, seed=1)
+    section = plane_section_presentation(surface, seed=1)
+    return (
+        [hilbert_function_coker(section, m) for m in range(-2, 9)],
+        [hilbert_function_coker(surface, m) for m in range(-2, 7)],
+        cohomology_table(section, range(-2, 9)).rows,
+        cohomology_table(surface, range(-2, 7)).rows,
+    )
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES[1:])
+@pytest.mark.parametrize("dtype", MANIFEST_TYPES, ids=lambda t: str(t[2]))
+def test_cohomology_agrees_over_large_primes(dtype, p):
+    degree_type = DegreeType(*dtype)
+    expected = cohomology_values(degree_type, F)
+    assert cohomology_values(degree_type, PrimeField(p)) == expected
 
 
 def test_node_report_json_shape():
